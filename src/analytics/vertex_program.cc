@@ -546,19 +546,16 @@ agl::Result<std::vector<mr::KeyValue>> RunAnalyticsShard(
 }
 
 agl::Result<std::vector<std::pair<NodeId, double>>> CollectFinalValues(
-    const std::vector<std::vector<mr::KeyValue>>& shard_records,
-    int64_t num_vertices) {
+    const std::vector<mr::KeyValue>& records, int64_t num_vertices) {
   // Messages a hit superstep cap left behind are dropped — they were never
   // applied anywhere.
   std::vector<std::pair<NodeId, double>> values;
   values.reserve(num_vertices);
-  for (const auto& records : shard_records) {
-    for (const mr::KeyValue& kv : records) {
-      if (kv.value.empty() || kv.value[0] != kTagState) continue;
-      AGL_ASSIGN_OR_RETURN(VertexState state,
-                           VertexState::Parse(kv.value.substr(1)));
-      values.emplace_back(state.id, state.value);
-    }
+  for (const mr::KeyValue& kv : records) {
+    if (kv.value.empty() || kv.value[0] != kTagState) continue;
+    AGL_ASSIGN_OR_RETURN(VertexState state,
+                         VertexState::Parse(kv.value.substr(1)));
+    values.emplace_back(state.id, state.value);
   }
   if (static_cast<int64_t>(values.size()) != num_vertices) {
     return agl::Status::Corruption(
@@ -586,32 +583,25 @@ agl::Result<AnalyticsResult> RunVertexProgram(
   result.stats.num_gather_edges = static_cast<int64_t>(normalized.size());
 
   const int num_shards = std::max(1, config.num_shards);
-  flat::ShardRouter router{flat::ShardPlan(num_shards)};
   const flat::ShardedTables tables =
-      router.PartitionTables(nodes, normalized);
-
-  flat::InMemoryExchange exchange{flat::ShardPlan(num_shards)};
-  std::vector<std::vector<mr::KeyValue>> shard_records(num_shards);
+      flat::ShardRouter{flat::ShardPlan(num_shards)}.PartitionTables(
+          nodes, normalized);
   std::vector<AnalyticsStats> shard_stats(num_shards);
-  AGL_RETURN_IF_ERROR(flat::ParallelOverShards(num_shards, [&](int s) {
-    auto records = RunAnalyticsShard(config, program, s, tables.nodes[s],
+  AGL_ASSIGN_OR_RETURN(
+      const std::vector<mr::KeyValue> records,
+      flat::RunShardsInProcess(
+          num_shards,
+          [&](int s, flat::Exchange* exchange) {
+            return RunAnalyticsShard(config, program, s, tables.nodes[s],
                                      tables.edges[s],
                                      static_cast<int64_t>(nodes.size()),
-                                     &exchange, &shard_stats[s]);
-    if (!records.ok()) {
-      // A failed shard never publishes again — release the peers parked
-      // at the next barrier instead of deadlocking the pool.
-      exchange.Abort(records.status());
-      return records.status();
-    }
-    shard_records[s] = *std::move(records);
-    return agl::Status::OK();
-  }));
+                                     exchange, &shard_stats[s]);
+          },
+          &result.stats.exchange));
 
   AGL_ASSIGN_OR_RETURN(
       result.values,
-      CollectFinalValues(shard_records,
-                         static_cast<int64_t>(nodes.size())));
+      CollectFinalValues(records, static_cast<int64_t>(nodes.size())));
 
   // The superstep accounting is a pure function of the AllGather'd sums,
   // so every shard computed identical numbers — take shard 0's. Job
@@ -624,7 +614,6 @@ agl::Result<AnalyticsResult> RunVertexProgram(
   for (const AnalyticsStats& ss : shard_stats) {
     result.stats.job_stats.Accumulate(ss.job_stats);
   }
-  result.stats.exchange = exchange.stats();
   result.stats.elapsed_seconds = watch.Seconds();
   return result;
 }

@@ -173,21 +173,20 @@ agl::Result<std::vector<EdgeRecord>> NormalizeEdgeTable(
 /// VertexState records. `stats` (optional) receives the shard-local job
 /// counters plus the globally-agreed superstep/convergence numbers
 /// (identical on every shard). This is the unit the in-process path runs
-/// on S threads over an InMemoryExchange and the multi-process driver runs
-/// in S shard worker processes over a DfsExchange.
+/// on S threads through flat::RunShardsInProcess and the multi-process
+/// driver runs in S shard worker processes over a DfsExchange.
 agl::Result<std::vector<mr::KeyValue>> RunAnalyticsShard(
     const AnalyticsConfig& config, const VertexProgram& program, int shard,
     const std::vector<NodeRecord>& shard_nodes,
     const std::vector<EdgeRecord>& shard_edges, int64_t num_vertices,
     flat::Exchange* exchange, AnalyticsStats* stats = nullptr);
 
-/// Folds the shards' final 'S'-tagged records into the id-sorted value
-/// list, validating that exactly `num_vertices` states survived. Exposed
-/// for the multi-process driver, which collects the records from the shard
-/// processes' output datasets.
+/// Folds the shards' final 'S'-tagged records (concatenated over shards)
+/// into the id-sorted value list, validating that exactly `num_vertices`
+/// states survived. Exposed for the multi-process driver, which collects
+/// the records from the shard processes' output datasets.
 agl::Result<std::vector<std::pair<NodeId, double>>> CollectFinalValues(
-    const std::vector<std::vector<mr::KeyValue>>& shard_records,
-    int64_t num_vertices);
+    const std::vector<mr::KeyValue>& records, int64_t num_vertices);
 
 /// Same, then stores the result on `dfs`/`dataset` as a GraphFeatures
 /// dataset: one single-node GraphFeature per vertex (target_id = vertex,

@@ -5,6 +5,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <thread>
@@ -102,21 +103,25 @@ std::optional<agl::Status> ReadReportedError(mr::LocalDfs* dfs,
 
 // --- worker-process role bodies ---------------------------------------------
 
-agl::Status RunFlatShardWorker(const std::string& root,
-                               const std::string& prefix, int shard) {
+/// The worker half of a process-mode shard job (GraphFlat, analytics):
+/// reads the job meta (decoded by `decode`) and this shard's table slice,
+/// runs `body` over a DfsExchange, and publishes the records `body`
+/// returns plus the stats blob it fills as the shard's output dataset.
+template <typename Meta, typename Body>
+agl::Status RunShardWorker(const std::string& root, const std::string& prefix,
+                           int shard,
+                           agl::Result<Meta> (*decode)(const std::string&),
+                           const Body& body) {
   AGL_ASSIGN_OR_RETURN(mr::LocalDfs dfs, mr::LocalDfs::Open(root));
   AGL_ASSIGN_OR_RETURN(std::vector<std::string> meta_records,
                        dfs.ReadDataset(MetaName(prefix)));
-  if (meta_records.size() != 1) {
-    return agl::Status::Corruption("flat job meta must hold exactly 1 record");
-  }
-  AGL_ASSIGN_OR_RETURN(const FlatJobMeta meta,
-                       DecodeFlatJobMeta(meta_records[0]));
   AGL_ASSIGN_OR_RETURN(std::vector<std::string> slice_records,
                        dfs.ReadDataset(SliceName(prefix, shard)));
-  if (slice_records.size() != 1) {
-    return agl::Status::Corruption("table slice must hold exactly 1 record");
+  if (meta_records.size() != 1 || slice_records.size() != 1) {
+    return agl::Status::Corruption(
+        "shard job meta and table slice must hold exactly 1 record each");
   }
+  AGL_ASSIGN_OR_RETURN(const Meta meta, decode(meta_records[0]));
   std::vector<flat::NodeRecord> nodes;
   std::vector<flat::EdgeRecord> edges;
   AGL_RETURN_IF_ERROR(DecodeTableSlice(slice_records[0], &nodes, &edges));
@@ -127,62 +132,59 @@ agl::Status RunFlatShardWorker(const std::string& root,
   flat::DfsExchange exchange(
       &dfs, ExchangePrefix(prefix),
       flat::ShardPlan(std::max(1, meta.config.num_shards)), xopts);
-
-  mr::JobStats job_stats;
-  AGL_ASSIGN_OR_RETURN(
-      std::vector<mr::KeyValue> records,
-      flat::RunFlatShard(meta.config, shard, nodes, edges,
-                         meta.node_feature_dim, meta.edge_feature_dim,
-                         &exchange, &job_stats));
-
-  io::BufferWriter stats_blob;
-  PutJobStats(&stats_blob, job_stats);
-  PutExchangeStats(&stats_blob, exchange.stats());
+  std::string stats_blob;
+  AGL_ASSIGN_OR_RETURN(const std::vector<mr::KeyValue> records,
+                       body(meta, nodes, edges, &exchange, &stats_blob));
   return dfs.WriteDataset(
       OutName(prefix, shard),
-      {flat::SerializeExchangeRecords(records), stats_blob.Release()},
+      {flat::SerializeExchangeRecords(records), std::move(stats_blob)},
       /*num_parts=*/1);
+}
+
+agl::Status RunFlatShardWorker(const std::string& root,
+                               const std::string& prefix, int shard) {
+  return RunShardWorker(
+      root, prefix, shard, DecodeFlatJobMeta,
+      [shard](const FlatJobMeta& meta,
+              const std::vector<flat::NodeRecord>& nodes,
+              const std::vector<flat::EdgeRecord>& edges,
+              flat::Exchange* exchange, std::string* stats_blob)
+          -> agl::Result<std::vector<mr::KeyValue>> {
+        mr::JobStats job_stats;
+        AGL_ASSIGN_OR_RETURN(
+            std::vector<mr::KeyValue> records,
+            flat::RunFlatShard(meta.config, shard, nodes, edges,
+                               meta.node_feature_dim, meta.edge_feature_dim,
+                               exchange, &job_stats));
+        io::BufferWriter w;
+        PutJobStats(&w, job_stats);
+        PutExchangeStats(&w, exchange->stats());
+        *stats_blob = w.Release();
+        return records;
+      });
 }
 
 agl::Status RunAnalyticsShardWorker(const std::string& root,
                                     const std::string& prefix, int shard) {
-  AGL_ASSIGN_OR_RETURN(mr::LocalDfs dfs, mr::LocalDfs::Open(root));
-  AGL_ASSIGN_OR_RETURN(std::vector<std::string> meta_records,
-                       dfs.ReadDataset(MetaName(prefix)));
-  if (meta_records.size() != 1) {
-    return agl::Status::Corruption(
-        "analytics job meta must hold exactly 1 record");
-  }
-  AGL_ASSIGN_OR_RETURN(const AnalyticsJobMeta meta,
-                       DecodeAnalyticsJobMeta(meta_records[0]));
-  AGL_ASSIGN_OR_RETURN(std::unique_ptr<analytics::VertexProgram> program,
-                       MakeProgram(meta.program));
-  AGL_ASSIGN_OR_RETURN(std::vector<std::string> slice_records,
-                       dfs.ReadDataset(SliceName(prefix, shard)));
-  if (slice_records.size() != 1) {
-    return agl::Status::Corruption("table slice must hold exactly 1 record");
-  }
-  std::vector<flat::NodeRecord> nodes;
-  std::vector<flat::EdgeRecord> edges;
-  AGL_RETURN_IF_ERROR(DecodeTableSlice(slice_records[0], &nodes, &edges));
-
-  flat::DfsExchange::Options xopts;
-  xopts.poll_interval_ms = meta.exchange_poll_ms;
-  xopts.timeout_ms = meta.exchange_timeout_ms;
-  flat::DfsExchange exchange(
-      &dfs, ExchangePrefix(prefix),
-      flat::ShardPlan(std::max(1, meta.config.num_shards)), xopts);
-
-  analytics::AnalyticsStats stats;
-  AGL_ASSIGN_OR_RETURN(
-      std::vector<mr::KeyValue> records,
-      analytics::RunAnalyticsShard(meta.config, *program, shard, nodes, edges,
-                                   meta.num_vertices, &exchange, &stats));
-  stats.exchange = exchange.stats();
-  return dfs.WriteDataset(
-      OutName(prefix, shard),
-      {flat::SerializeExchangeRecords(records), EncodeAnalyticsStats(stats)},
-      /*num_parts=*/1);
+  return RunShardWorker(
+      root, prefix, shard, DecodeAnalyticsJobMeta,
+      [shard](const AnalyticsJobMeta& meta,
+              const std::vector<flat::NodeRecord>& nodes,
+              const std::vector<flat::EdgeRecord>& edges,
+              flat::Exchange* exchange, std::string* stats_blob)
+          -> agl::Result<std::vector<mr::KeyValue>> {
+        AGL_ASSIGN_OR_RETURN(std::unique_ptr<analytics::VertexProgram> program,
+                             MakeProgram(meta.program));
+        analytics::AnalyticsStats stats;
+        AGL_ASSIGN_OR_RETURN(
+            std::vector<mr::KeyValue> records,
+            analytics::RunAnalyticsShard(meta.config, *program, shard, nodes,
+                                         edges, meta.num_vertices, exchange,
+                                         &stats));
+        stats.exchange = exchange->stats();
+        *stats_blob = EncodeAnalyticsStats(stats);
+        return records;
+      });
 }
 
 agl::Status RunTrainWorker(const std::string& root, const std::string& prefix,
@@ -319,6 +321,58 @@ agl::Status ValidateDriverOptions(const DriverOptions& options) {
   return agl::Status::OK();
 }
 
+/// The driver half of a process-mode shard job (GraphFlat, analytics):
+/// clears the job's datasets, publishes `meta` and the per-shard table
+/// slices, supervises one `role` worker per shard to a clean exit, and
+/// returns the shards' output records concatenated in shard order, with
+/// each shard's stats blob in `stats_blobs`.
+agl::Result<std::vector<mr::KeyValue>> RunShardProcesses(
+    const DriverOptions& options, const char* role, int num_shards,
+    const std::string& meta, const std::vector<flat::NodeRecord>& nodes,
+    const std::vector<flat::EdgeRecord>& edges,
+    std::vector<std::string>* stats_blobs, DriverStats* stats) {
+  const std::string& prefix = options.job_prefix;
+  AGL_RETURN_IF_ERROR(flat::DfsExchange::CleanupPrefix(options.dfs, prefix));
+  AGL_RETURN_IF_ERROR(
+      options.dfs->WriteDataset(MetaName(prefix), {meta}, /*num_parts=*/1));
+  const flat::ShardedTables tables =
+      flat::ShardRouter{flat::ShardPlan(num_shards)}.PartitionTables(nodes,
+                                                                     edges);
+  for (int s = 0; s < num_shards; ++s) {
+    AGL_RETURN_IF_ERROR(options.dfs->WriteDataset(
+        SliceName(prefix, s),
+        {EncodeTableSlice(tables.nodes[s], tables.edges[s])},
+        /*num_parts=*/1));
+  }
+
+  AGL_ASSIGN_OR_RETURN(const std::string self, common::SelfExecutable());
+  common::Mutex stats_mu;
+  AGL_RETURN_IF_ERROR(flat::ParallelOverShards(num_shards, [&](int s) {
+    return SuperviseShard(
+        options,
+        {self, kWorkerArgv1, role, options.dfs->root(), prefix,
+         std::to_string(s)},
+        ShardErrName(prefix, s),
+        std::string(role) + " shard " + std::to_string(s), stats, &stats_mu);
+  }));
+
+  std::vector<mr::KeyValue> records;
+  for (int s = 0; s < num_shards; ++s) {
+    AGL_ASSIGN_OR_RETURN(std::vector<std::string> out,
+                         options.dfs->ReadDataset(OutName(prefix, s)));
+    if (out.size() != 2) {
+      return agl::Status::Corruption("shard output must hold 2 records");
+    }
+    AGL_ASSIGN_OR_RETURN(std::vector<mr::KeyValue> shard_records,
+                         flat::ParseExchangeRecords(out[0]));
+    records.insert(records.end(),
+                   std::make_move_iterator(shard_records.begin()),
+                   std::make_move_iterator(shard_records.end()));
+    stats_blobs->push_back(std::move(out[1]));
+  }
+  return records;
+}
+
 }  // namespace
 
 agl::Result<flat::GraphFlatStats> RunGraphFlatProcesses(
@@ -335,9 +389,6 @@ agl::Result<flat::GraphFlatStats> RunGraphFlatProcesses(
   if (nodes.empty()) {
     return agl::Status::InvalidArgument("GraphFlat: empty node table");
   }
-  const std::string& prefix = options.job_prefix;
-  AGL_RETURN_IF_ERROR(flat::DfsExchange::CleanupPrefix(options.dfs, prefix));
-
   const int num_shards = std::max(1, config.num_shards);
   FlatJobMeta meta;
   meta.config = config;
@@ -347,47 +398,17 @@ agl::Result<flat::GraphFlatStats> RunGraphFlatProcesses(
       edges.empty() ? 0 : static_cast<int64_t>(edges[0].features.size());
   meta.exchange_poll_ms = options.exchange_poll_ms;
   meta.exchange_timeout_ms = options.exchange_timeout_ms;
-  AGL_RETURN_IF_ERROR(options.dfs->WriteDataset(
-      MetaName(prefix), {EncodeFlatJobMeta(meta)}, /*num_parts=*/1));
-
-  flat::ShardRouter router{flat::ShardPlan(num_shards)};
-  const flat::ShardedTables tables = router.PartitionTables(nodes, edges);
-  for (int s = 0; s < num_shards; ++s) {
-    AGL_RETURN_IF_ERROR(options.dfs->WriteDataset(
-        SliceName(prefix, s),
-        {EncodeTableSlice(tables.nodes[s], tables.edges[s])},
-        /*num_parts=*/1));
-  }
-
-  AGL_ASSIGN_OR_RETURN(const std::string self, common::SelfExecutable());
   DriverStats local;
-  common::Mutex stats_mu;
-  AGL_RETURN_IF_ERROR(flat::ParallelOverShards(num_shards, [&](int s) {
-    return SuperviseShard(
-        options,
-        {self, kWorkerArgv1, kRoleFlat, options.dfs->root(), prefix,
-         std::to_string(s)},
-        ShardErrName(prefix, s), "flat shard " + std::to_string(s), &local,
-        &stats_mu);
-  }));
+  std::vector<std::string> stats_blobs;
+  AGL_ASSIGN_OR_RETURN(
+      std::vector<mr::KeyValue> records,
+      RunShardProcesses(options, kRoleFlat, num_shards,
+                        EncodeFlatJobMeta(meta), nodes, edges, &stats_blobs,
+                        &local));
 
   flat::GraphFlatStats out_stats;
-  std::vector<std::pair<flat::NodeId, std::string>> finals;
-  for (int s = 0; s < num_shards; ++s) {
-    AGL_ASSIGN_OR_RETURN(std::vector<std::string> records,
-                         options.dfs->ReadDataset(OutName(prefix, s)));
-    if (records.size() != 2) {
-      return agl::Status::Corruption("shard output must hold 2 records");
-    }
-    AGL_ASSIGN_OR_RETURN(std::vector<mr::KeyValue> shard_records,
-                         flat::ParseExchangeRecords(records[0]));
-    for (mr::KeyValue& kv : shard_records) {
-      // 'F' tags the final GraphFeature records RunFlatShard emits.
-      if (kv.value.empty() || kv.value[0] != 'F') continue;
-      finals.emplace_back(static_cast<flat::NodeId>(std::stoull(kv.key)),
-                          kv.value.substr(1));
-    }
-    io::BufferReader r(records[1]);
+  for (const std::string& blob : stats_blobs) {
+    io::BufferReader r(blob);
     mr::JobStats job_stats;
     flat::ExchangeStats exchange_stats;
     AGL_RETURN_IF_ERROR(GetJobStats(&r, &job_stats));
@@ -395,18 +416,10 @@ agl::Result<flat::GraphFlatStats> RunGraphFlatProcesses(
     out_stats.job_stats.Accumulate(job_stats);
     out_stats.exchange.Accumulate(exchange_stats);
   }
-  for (const auto& [id, bytes] : finals) {
-    AGL_ASSIGN_OR_RETURN(subgraph::GraphFeature gf,
-                         subgraph::GraphFeature::Parse(bytes));
-    out_stats.num_features++;
-    out_stats.total_nodes += gf.num_nodes();
-    out_stats.total_edges += gf.num_edges();
-    out_stats.max_nodes = std::max(out_stats.max_nodes, gf.num_nodes());
-  }
+  AGL_RETURN_IF_ERROR(flat::StoreFinalRecords(meta.config, std::move(records),
+                                              out_dfs, dataset, &out_stats));
   AGL_RETURN_IF_ERROR(
-      flat::StoreFeaturePayloads(meta.config, std::move(finals), out_dfs,
-                                 dataset));
-  AGL_RETURN_IF_ERROR(flat::DfsExchange::CleanupPrefix(options.dfs, prefix));
+      flat::DfsExchange::CleanupPrefix(options.dfs, options.job_prefix));
   out_stats.elapsed_seconds = watch.Seconds();
   local.exchange = out_stats.exchange;
   if (stats != nullptr) MergeStats(stats, local);
@@ -424,9 +437,6 @@ agl::Result<analytics::AnalyticsResult> RunAnalyticsProcesses(
                        MakeProgram(program));
   AGL_ASSIGN_OR_RETURN(std::vector<flat::EdgeRecord> normalized,
                        analytics::NormalizeEdgeTable(*prog, nodes, edges));
-  const std::string& prefix = options.job_prefix;
-  AGL_RETURN_IF_ERROR(flat::DfsExchange::CleanupPrefix(options.dfs, prefix));
-
   const int num_shards = std::max(1, config.num_shards);
   AnalyticsJobMeta meta;
   meta.config = config;
@@ -435,61 +445,37 @@ agl::Result<analytics::AnalyticsResult> RunAnalyticsProcesses(
   meta.num_vertices = static_cast<int64_t>(nodes.size());
   meta.exchange_poll_ms = options.exchange_poll_ms;
   meta.exchange_timeout_ms = options.exchange_timeout_ms;
-  AGL_RETURN_IF_ERROR(options.dfs->WriteDataset(
-      MetaName(prefix), {EncodeAnalyticsJobMeta(meta)}, /*num_parts=*/1));
-
-  flat::ShardRouter router{flat::ShardPlan(num_shards)};
-  const flat::ShardedTables tables = router.PartitionTables(nodes, normalized);
-  for (int s = 0; s < num_shards; ++s) {
-    AGL_RETURN_IF_ERROR(options.dfs->WriteDataset(
-        SliceName(prefix, s),
-        {EncodeTableSlice(tables.nodes[s], tables.edges[s])},
-        /*num_parts=*/1));
-  }
-
-  AGL_ASSIGN_OR_RETURN(const std::string self, common::SelfExecutable());
   DriverStats local;
-  common::Mutex stats_mu;
-  AGL_RETURN_IF_ERROR(flat::ParallelOverShards(num_shards, [&](int s) {
-    return SuperviseShard(
-        options,
-        {self, kWorkerArgv1, kRoleAnalytics, options.dfs->root(), prefix,
-         std::to_string(s)},
-        ShardErrName(prefix, s), "analytics shard " + std::to_string(s),
-        &local, &stats_mu);
-  }));
+  std::vector<std::string> stats_blobs;
+  AGL_ASSIGN_OR_RETURN(
+      const std::vector<mr::KeyValue> records,
+      RunShardProcesses(options, kRoleAnalytics, num_shards,
+                        EncodeAnalyticsJobMeta(meta), nodes, normalized,
+                        &stats_blobs, &local));
 
   analytics::AnalyticsResult result;
   result.stats.num_vertices = static_cast<int64_t>(nodes.size());
   result.stats.num_gather_edges = static_cast<int64_t>(normalized.size());
-  std::vector<std::vector<mr::KeyValue>> shard_records(num_shards);
-  std::vector<analytics::AnalyticsStats> shard_stats(num_shards);
-  for (int s = 0; s < num_shards; ++s) {
-    AGL_ASSIGN_OR_RETURN(std::vector<std::string> records,
-                         options.dfs->ReadDataset(OutName(prefix, s)));
-    if (records.size() != 2) {
-      return agl::Status::Corruption("shard output must hold 2 records");
-    }
-    AGL_ASSIGN_OR_RETURN(shard_records[s],
-                         flat::ParseExchangeRecords(records[0]));
-    AGL_ASSIGN_OR_RETURN(shard_stats[s], DecodeAnalyticsStats(records[1]));
-  }
   AGL_ASSIGN_OR_RETURN(
       result.values,
-      analytics::CollectFinalValues(shard_records,
+      analytics::CollectFinalValues(records,
                                     static_cast<int64_t>(nodes.size())));
   // Superstep accounting is AllGather-agreed and identical on every shard;
   // job and exchange counters are per-shard work.
-  result.stats.supersteps = shard_stats[0].supersteps;
-  result.stats.converged = shard_stats[0].converged;
-  result.stats.active_per_round = std::move(shard_stats[0].active_per_round);
-  result.stats.messages_per_round =
-      std::move(shard_stats[0].messages_per_round);
-  for (const analytics::AnalyticsStats& ss : shard_stats) {
+  for (int s = 0; s < num_shards; ++s) {
+    AGL_ASSIGN_OR_RETURN(analytics::AnalyticsStats ss,
+                         DecodeAnalyticsStats(stats_blobs[s]));
+    if (s == 0) {
+      result.stats.supersteps = ss.supersteps;
+      result.stats.converged = ss.converged;
+      result.stats.active_per_round = std::move(ss.active_per_round);
+      result.stats.messages_per_round = std::move(ss.messages_per_round);
+    }
     result.stats.job_stats.Accumulate(ss.job_stats);
     result.stats.exchange.Accumulate(ss.exchange);
   }
-  AGL_RETURN_IF_ERROR(flat::DfsExchange::CleanupPrefix(options.dfs, prefix));
+  AGL_RETURN_IF_ERROR(
+      flat::DfsExchange::CleanupPrefix(options.dfs, options.job_prefix));
   result.stats.elapsed_seconds = watch.Seconds();
   local.exchange = result.stats.exchange;
   if (stats != nullptr) MergeStats(stats, local);

@@ -1,6 +1,8 @@
 #include "flat/exchange.h"
 
+#include <algorithm>
 #include <chrono>
+#include <iterator>
 #include <thread>
 #include <utility>
 
@@ -54,27 +56,41 @@ agl::Result<std::vector<mr::KeyValue>> ParseExchangeRecords(
 
 InMemoryExchange::InMemoryExchange(ShardPlan plan) : plan_(plan) {}
 
-agl::Status InMemoryExchange::Publish(int round, int src_shard,
-                                      std::vector<mr::KeyValue> records) {
-  const int s = plan_.num_shards();
-  common::MutexLock lock(&mu_);
-  AGL_RETURN_IF_ERROR(aborted_);
+InMemoryExchange::Round& InMemoryExchange::RoundLocked(int round) {
   Round& r = rounds_[round];
   if (r.buckets.empty()) {
+    const int s = plan_.num_shards();
     r.buckets.assign(s, std::vector<std::vector<mr::KeyValue>>(s));
     r.published.assign(s, false);
   }
+  return r;
+}
+
+agl::Status InMemoryExchange::Publish(int round, int src_shard,
+                                      std::vector<mr::KeyValue> records) {
+  // Route before taking the lock, so concurrent publishes hash their keys
+  // in parallel and collectors are blocked only for the splice.
+  const int64_t num_records = static_cast<int64_t>(records.size());
+  std::vector<std::vector<mr::KeyValue>> by_dst(plan_.num_shards());
+  // Sized for an even split: exact for one shard, where growing by
+  // doubling measurably raised the serving path's peak RSS.
+  for (auto& bucket : by_dst) {
+    bucket.reserve(records.size() / by_dst.size());
+  }
+  for (mr::KeyValue& kv : records) {
+    by_dst[plan_.HomeShard(kv.key)].push_back(std::move(kv));
+  }
+  common::MutexLock lock(&mu_);
+  AGL_RETURN_IF_ERROR(aborted_);
+  Round& r = RoundLocked(round);
   if (r.published[src_shard]) {
     return agl::Status::FailedPrecondition(
         "shard " + std::to_string(src_shard) + " already published round " +
         std::to_string(round));
   }
   stats_.publishes++;
-  stats_.records_published += static_cast<int64_t>(records.size());
-  for (mr::KeyValue& kv : records) {
-    const int dst = plan_.HomeShard(kv.key);
-    r.buckets[src_shard][dst].push_back(std::move(kv));
-  }
+  stats_.records_published += num_records;
+  r.buckets[src_shard] = std::move(by_dst);
   r.published[src_shard] = true;
   r.num_published++;
   cv_.SignalAll();
@@ -85,23 +101,17 @@ agl::Result<std::vector<mr::KeyValue>> InMemoryExchange::Collect(
     int round, int dst_shard) {
   Stopwatch watch;
   common::MutexLock lock(&mu_);
-  Round& r = rounds_[round];
+  Round& r = RoundLocked(round);
   const int s = plan_.num_shards();
-  if (r.buckets.empty()) {
-    r.buckets.assign(s, std::vector<std::vector<mr::KeyValue>>(s));
-    r.published.assign(s, false);
-  }
   while (r.num_published < s && aborted_.ok()) cv_.Wait(&mu_);
   AGL_RETURN_IF_ERROR(aborted_);
-  std::vector<mr::KeyValue> out;
-  std::size_t total = 0;
-  for (int src = 0; src < s; ++src) total += r.buckets[src][dst_shard].size();
-  out.reserve(total);
-  for (int src = 0; src < s; ++src) {
-    for (mr::KeyValue& kv : r.buckets[src][dst_shard]) {
-      out.push_back(std::move(kv));
-    }
-    r.buckets[src][dst_shard].clear();
+  // Buckets are moved out (source-major), so a collected round keeps no
+  // records alive.
+  std::vector<mr::KeyValue> out = std::move(r.buckets[0][dst_shard]);
+  for (int src = 1; src < s; ++src) {
+    std::vector<mr::KeyValue> bucket = std::move(r.buckets[src][dst_shard]);
+    out.insert(out.end(), std::make_move_iterator(bucket.begin()),
+               std::make_move_iterator(bucket.end()));
   }
   stats_.collects++;
   stats_.records_collected += static_cast<int64_t>(out.size());
@@ -281,6 +291,34 @@ agl::Status DfsExchange::CleanupPrefix(mr::LocalDfs* dfs,
     }
   }
   return agl::Status::OK();
+}
+
+// --- In-process launcher ----------------------------------------------------
+
+agl::Result<std::vector<mr::KeyValue>> RunShardsInProcess(
+    int num_shards, const ShardBody& body, ExchangeStats* exchange_stats) {
+  num_shards = std::max(1, num_shards);
+  InMemoryExchange exchange{ShardPlan(num_shards)};
+  std::vector<std::vector<mr::KeyValue>> shard_records(num_shards);
+  AGL_RETURN_IF_ERROR(ParallelOverShards(num_shards, [&](int s) {
+    auto records = body(s, &exchange);
+    if (!records.ok()) {
+      // A failed shard never publishes again — release the peers parked
+      // at the next barrier.
+      exchange.Abort(records.status());
+      return records.status();
+    }
+    shard_records[s] = *std::move(records);
+    return agl::Status::OK();
+  }));
+  std::vector<mr::KeyValue> records = std::move(shard_records[0]);
+  for (int s = 1; s < num_shards; ++s) {
+    records.insert(records.end(),
+                   std::make_move_iterator(shard_records[s].begin()),
+                   std::make_move_iterator(shard_records[s].end()));
+  }
+  if (exchange_stats != nullptr) *exchange_stats = exchange.stats();
+  return records;
 }
 
 }  // namespace agl::flat

@@ -1,8 +1,9 @@
-// The boundary-state exchange behind sharded GraphFlat and the analytics
-// round loop, abstracted so the same per-shard code runs in-process
-// (threads moving vectors through memory) or multi-process (records
-// spilled through the crash-consistent LocalDfs and collected by other
-// OS processes).
+// The boundary-state exchange behind every sharded round pipeline —
+// GraphFlat, GraphInfer and the analytics superstep loop — abstracted so
+// the same per-shard code runs in-process (threads moving vectors through
+// memory, started by RunShardsInProcess) or multi-process (records
+// spilled through the crash-consistent LocalDfs and collected by other OS
+// processes).
 //
 // Contract: for every round, each of the S shards calls
 // Publish(round, src, records) exactly once-logically (a restarted shard
@@ -22,6 +23,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -110,6 +112,9 @@ class InMemoryExchange : public Exchange {
     int num_present = 0;
   };
 
+  /// The round's buckets, created on first touch.
+  Round& RoundLocked(int round) REQUIRES(mu_);
+
   ShardPlan plan_;
   mutable common::Mutex mu_;
   common::CondVar cv_;
@@ -165,6 +170,21 @@ class DfsExchange : public Exchange {
   agl::Status aborted_ GUARDED_BY(mu_);
   ExchangeStats stats_ GUARDED_BY(mu_);
 };
+
+/// One shard's whole round schedule against `exchange`, returning the
+/// shard's final records.
+using ShardBody = std::function<agl::Result<std::vector<mr::KeyValue>>(
+    int shard, Exchange* exchange)>;
+
+/// The in-process launcher of a sharded round pipeline: runs `body` for
+/// each of `num_shards` shards on its own thread over one InMemoryExchange
+/// and returns the shards' records concatenated in shard order. A failing
+/// shard aborts the exchange with its status, so peers parked at the next
+/// barrier wake instead of deadlocking; the first error in shard order is
+/// returned. `exchange_stats` (optional) receives the exchange's traffic.
+agl::Result<std::vector<mr::KeyValue>> RunShardsInProcess(
+    int num_shards, const ShardBody& body,
+    ExchangeStats* exchange_stats = nullptr);
 
 /// (De)serialization of one exchange bucket — exposed for tests.
 std::string SerializeExchangeRecords(const std::vector<mr::KeyValue>& records);

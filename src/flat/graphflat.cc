@@ -64,9 +64,6 @@ struct RoundContext {
   GraphFlatConfig::Targets targets = GraphFlatConfig::Targets::kLabeledNodes;
   int64_t node_feature_dim = 0;
   int64_t edge_feature_dim = 0;
-  /// Sharded mode: the last round emits the merged SubgraphState instead of
-  /// flattening, deferring the Storing step to the shard-merge stage.
-  bool emit_state_at_last = false;
 };
 
 /// Does `self` receive a GraphFeature under the configured target policy?
@@ -76,8 +73,9 @@ bool IsTarget(const RoundContext& ctx, const NodeRecord& self) {
 }
 
 /// The Storing step (§3.2.1): flattens `state` to a GraphFeature record iff
-/// the node is a requested target. Shared by the single-shard last round
-/// and the shard-merge reducer so both paths emit identical bytes.
+/// the node is a requested target. Runs in the last round on the node's
+/// home shard, which holds the node's only state: no exchange follows the
+/// last round, so nothing is left to reconcile.
 agl::Status EmitFinalIfTarget(const RoundContext& ctx, const std::string& key,
                               NodeId self_id, const SubgraphState& state,
                               mr::Emitter* out) {
@@ -148,7 +146,7 @@ class FlatReducer : public mr::Reducer {
       }
     }
 
-    const NodeId self_id = static_cast<NodeId>(std::stoull(key));
+    AGL_ASSIGN_OR_RETURN(const NodeId self_id, ParseNodeKey(key));
     if (!have_state) {
       // Edge endpoint without a node-table row: keep a featureless state so
       // out-edges still propagate structure.
@@ -190,17 +188,6 @@ class FlatReducer : public mr::Reducer {
     }
 
     if (ctx_.round == ctx_.last_round) {
-      if (ctx_.emit_state_at_last) {
-        // Sharded mode: hand the merged state to the merge stage, which
-        // reconciles per-node states (see MergeReducer) and then performs
-        // the Storing step. Non-targets can never produce a final record,
-        // so their (large) states are not worth serializing and shuffling.
-        if (state.HasNode(self_id) &&
-            IsTarget(ctx_, state.nodes().at(self_id))) {
-          out->Emit(key, Tagged(kTagState, state.Serialize()));
-        }
-        return agl::Status::OK();
-      }
       return EmitFinalIfTarget(ctx_, key, self_id, state, out);
     }
 
@@ -337,44 +324,15 @@ agl::Result<std::vector<mr::KeyValue>> ReindexAndSampleHubKeys(
 
 namespace {
 
-/// Shard-merge stage: reconciles per-node states before Store. With the
-/// exact home-shard routing above, each node normally arrives with exactly
-/// one state; the set-union here (sound and order-free because
-/// SubgraphState::Merge is a set union over nodes and edges) is the
-/// reconcile-before-Store contract that keeps the Storing step correct
-/// under looser routing — e.g. the planned multi-process exchange through
-/// the DFS, where at-least-once delivery can duplicate a node's state.
-class MergeReducer : public mr::Reducer {
- public:
-  explicit MergeReducer(const RoundContext& ctx) : ctx_(ctx) {}
+/// Adds one flattened neighborhood to the feature counters.
+void CountFeature(const subgraph::GraphFeature& gf, GraphFlatStats* stats) {
+  stats->num_features++;
+  stats->total_nodes += gf.num_nodes();
+  stats->total_edges += gf.num_edges();
+  stats->max_nodes = std::max(stats->max_nodes, gf.num_nodes());
+}
 
-  agl::Status Reduce(const std::string& key,
-                     const std::vector<std::string>& values,
-                     mr::Emitter* out) override {
-    SubgraphState merged;
-    bool have = false;
-    for (const std::string& v : values) {
-      if (v.empty() || v[0] != kTagState) {
-        return agl::Status::Corruption("non-state record in shard merge");
-      }
-      AGL_ASSIGN_OR_RETURN(SubgraphState s, SubgraphState::Parse(v.substr(1)));
-      if (have) {
-        merged.Merge(s);
-      } else {
-        merged = std::move(s);
-        have = true;
-      }
-    }
-    if (!have) return agl::Status::OK();
-    const NodeId self_id = static_cast<NodeId>(std::stoull(key));
-    return EmitFinalIfTarget(ctx_, key, self_id, merged, out);
-  }
-
- private:
-  RoundContext ctx_;
-};
-
-/// Raw-table rows tagged as map input, shared by both pipelines.
+/// Raw-table rows tagged as map input.
 std::vector<mr::KeyValue> BuildMapInput(const std::vector<NodeRecord>& nodes,
                                         const std::vector<EdgeRecord>& edges) {
   std::vector<mr::KeyValue> input;
@@ -389,109 +347,51 @@ std::vector<mr::KeyValue> BuildMapInput(const std::vector<NodeRecord>& nodes,
 }
 
 RoundContext MakeContext(const GraphFlatConfig& config,
-                         const std::vector<NodeRecord>& nodes,
-                         const std::vector<EdgeRecord>& edges) {
+                         int64_t node_feature_dim, int64_t edge_feature_dim) {
   RoundContext ctx;
   ctx.last_round = config.hops;
   ctx.sampler_config = config.sampler;
   ctx.seed = config.job.seed;
   ctx.targets = config.targets;
-  ctx.node_feature_dim = static_cast<int64_t>(nodes[0].features.size());
-  ctx.edge_feature_dim =
-      edges.empty() ? 0 : static_cast<int64_t>(edges[0].features.size());
+  ctx.node_feature_dim = node_feature_dim;
+  ctx.edge_feature_dim = edge_feature_dim;
   return ctx;
 }
 
-/// The sharded pipeline: one complete GraphFlat shard run (map, rounds,
-/// merge) per shard over an in-memory exchange. Produces the same final
-/// records as the single-shard pipeline (tests/sharding_test.cpp holds the
-/// byte-identity property over shard counts), and the same records the
-/// multi-process driver collects from shard worker processes running the
-/// identical per-shard unit over a DfsExchange.
-agl::Result<std::vector<mr::KeyValue>> RunShardedPipeline(
-    const GraphFlatConfig& config, const std::vector<NodeRecord>& nodes,
-    const std::vector<EdgeRecord>& edges, GraphFlatStats* stats) {
-  Stopwatch watch;
-  if (nodes.empty()) {
-    return agl::Status::InvalidArgument("GraphFlat: empty node table");
-  }
-  const RoundContext ctx = MakeContext(config, nodes, edges);
-
-  const int num_shards = std::max(1, config.num_shards);
-  ShardRouter router{ShardPlan(num_shards)};
-  const ShardedTables tables = router.PartitionTables(nodes, edges);
-
-  InMemoryExchange exchange{ShardPlan(num_shards)};
-  std::vector<std::vector<mr::KeyValue>> shard_records(num_shards);
-  std::vector<mr::JobStats> shard_stats(num_shards);
-
-  // Each shard runs its whole pipeline span concurrently; the per-round
-  // barriers are implicit in Exchange::Collect, which blocks until every
-  // peer published the round.
-  AGL_RETURN_IF_ERROR(ParallelOverShards(num_shards, [&](int s) {
-    auto records = RunFlatShard(config, s, tables.nodes[s], tables.edges[s],
-                                ctx.node_feature_dim, ctx.edge_feature_dim,
-                                &exchange, &shard_stats[s]);
-    if (!records.ok()) {
-      // A failed shard never publishes again — release the peers parked
-      // at the next barrier instead of deadlocking the pool.
-      exchange.Abort(records.status());
-      return records.status();
-    }
-    shard_records[s] = *std::move(records);
-    return agl::Status::OK();
-  }));
-
-  std::vector<mr::KeyValue> records;
-  std::size_t total = 0;
-  for (const auto& recs : shard_records) total += recs.size();
-  records.reserve(total);
-  for (auto& recs : shard_records) {
-    for (mr::KeyValue& kv : recs) records.push_back(std::move(kv));
-  }
-  if (stats != nullptr) {
-    for (const mr::JobStats& js : shard_stats) stats->job_stats.Accumulate(js);
-    stats->exchange = exchange.stats();
-    stats->elapsed_seconds = watch.Seconds();
-  }
-  return records;
-}
-
+/// The in-process pipeline for every shard count: one RunFlatShard per
+/// shard through RunShardsInProcess — the same per-shard unit the
+/// multi-process driver runs in shard worker processes over a DfsExchange.
+/// Output is byte-identical for every shard count
+/// (tests/sharding_test.cpp).
 agl::Result<std::vector<mr::KeyValue>> RunPipeline(
     const GraphFlatConfig& config, const std::vector<NodeRecord>& nodes,
     const std::vector<EdgeRecord>& edges, GraphFlatStats* stats) {
-  if (config.num_shards > 1) {
-    return RunShardedPipeline(config, nodes, edges, stats);
-  }
   Stopwatch watch;
   if (nodes.empty()) {
     return agl::Status::InvalidArgument("GraphFlat: empty node table");
   }
-  RoundContext ctx = MakeContext(config, nodes, edges);
-
-  mr::JobStats job_stats;
+  const int64_t node_feature_dim =
+      static_cast<int64_t>(nodes[0].features.size());
+  const int64_t edge_feature_dim =
+      edges.empty() ? 0 : static_cast<int64_t>(edges[0].features.size());
+  const int num_shards = std::max(1, config.num_shards);
+  const ShardedTables tables =
+      ShardRouter{ShardPlan(num_shards)}.PartitionTables(nodes, edges);
+  std::vector<mr::JobStats> shard_stats(num_shards);
+  ExchangeStats exchange_stats;
   AGL_ASSIGN_OR_RETURN(
       std::vector<mr::KeyValue> records,
-      mr::RunMapPhase(config.job, BuildMapInput(nodes, edges),
-                      [] { return std::make_unique<FlatMapper>(); },
-                      &job_stats));
-
-  for (int round = 0; round <= config.hops; ++round) {
-    AGL_ASSIGN_OR_RETURN(records,
-                         ReindexAndSampleHubKeys(config, std::move(records),
-                                                 round));
-    ctx.round = round;
-    RoundContext round_ctx = ctx;
-    AGL_ASSIGN_OR_RETURN(
-        records,
-        mr::RunReducePhase(config.job, std::move(records),
-                           [round_ctx] {
-                             return std::make_unique<FlatReducer>(round_ctx);
-                           },
-                           &job_stats));
-  }
+      RunShardsInProcess(
+          num_shards,
+          [&](int s, Exchange* exchange) {
+            return RunFlatShard(config, s, tables.nodes[s], tables.edges[s],
+                                node_feature_dim, edge_feature_dim, exchange,
+                                &shard_stats[s]);
+          },
+          &exchange_stats));
   if (stats != nullptr) {
-    stats->job_stats = job_stats;
+    for (const mr::JobStats& js : shard_stats) stats->job_stats.Accumulate(js);
+    stats->exchange = exchange_stats;
     stats->elapsed_seconds = watch.Seconds();
   }
   return records;
@@ -504,17 +404,8 @@ agl::Result<std::vector<mr::KeyValue>> RunFlatShard(
     const std::vector<NodeRecord>& shard_nodes,
     const std::vector<EdgeRecord>& shard_edges, int64_t node_feature_dim,
     int64_t edge_feature_dim, Exchange* exchange, mr::JobStats* stats) {
-  RoundContext ctx;
-  ctx.last_round = config.hops;
-  ctx.sampler_config = config.sampler;
-  ctx.seed = config.job.seed;
-  ctx.targets = config.targets;
-  ctx.node_feature_dim = node_feature_dim;
-  ctx.edge_feature_dim = edge_feature_dim;
-  ctx.emit_state_at_last = true;
-
-  const int num_shards = std::max(1, config.num_shards);
-  ShardRouter router{ShardPlan(num_shards)};
+  RoundContext ctx = MakeContext(config, node_feature_dim, edge_feature_dim);
+  const ShardRouter router{ShardPlan(std::max(1, config.num_shards))};
   mr::JobStats job_stats;
 
   // Map phase: local to this shard's table slice; the home filter drops
@@ -547,29 +438,8 @@ agl::Result<std::vector<mr::KeyValue>> RunFlatShard(
       AGL_ASSIGN_OR_RETURN(records, exchange->Collect(round, shard));
     }
   }
-
-  // Merge stage (its own fault-tolerant job per shard): set-union the
-  // states per node, then Store. See MergeReducer for why this stays a
-  // separate stage even though exact routing leaves one state per node.
-  AGL_ASSIGN_OR_RETURN(records,
-                       MergeShardStates(config, node_feature_dim,
-                                        edge_feature_dim, std::move(records),
-                                        &job_stats));
   if (stats != nullptr) stats->Accumulate(job_stats);
   return records;
-}
-
-agl::Result<std::vector<mr::KeyValue>> MergeShardStates(
-    const GraphFlatConfig& config, int64_t node_feature_dim,
-    int64_t edge_feature_dim, std::vector<mr::KeyValue> records,
-    mr::JobStats* stats) {
-  RoundContext ctx;
-  ctx.targets = config.targets;
-  ctx.node_feature_dim = node_feature_dim;
-  ctx.edge_feature_dim = edge_feature_dim;
-  return mr::RunReducePhase(
-      config.job, std::move(records),
-      [ctx] { return std::make_unique<MergeReducer>(ctx); }, stats);
 }
 
 agl::Result<std::vector<subgraph::GraphFeature>> RunGraphFlatInMemory(
@@ -583,10 +453,7 @@ agl::Result<std::vector<subgraph::GraphFeature>> RunGraphFlatInMemory(
     if (kv.value.empty() || kv.value[0] != kTagFinal) continue;
     AGL_ASSIGN_OR_RETURN(subgraph::GraphFeature gf,
                          subgraph::GraphFeature::Parse(kv.value.substr(1)));
-    local_stats.num_features++;
-    local_stats.total_nodes += gf.num_nodes();
-    local_stats.total_edges += gf.num_edges();
-    local_stats.max_nodes = std::max(local_stats.max_nodes, gf.num_nodes());
+    CountFeature(gf, &local_stats);
     features.push_back(std::move(gf));
   }
   // Deterministic output order regardless of reduce-task interleaving.
@@ -654,6 +521,24 @@ agl::Status StoreFeaturePayloads(
   return dfs->WriteDataset(dataset, payloads, config.output_parts);
 }
 
+agl::Status StoreFinalRecords(const GraphFlatConfig& config,
+                              std::vector<mr::KeyValue> records,
+                              mr::LocalDfs* dfs, const std::string& dataset,
+                              GraphFlatStats* stats) {
+  std::vector<std::pair<NodeId, std::string>> finals;
+  for (mr::KeyValue& kv : records) {
+    if (kv.value.empty() || kv.value[0] != kTagFinal) continue;
+    AGL_ASSIGN_OR_RETURN(const NodeId id, ParseNodeKey(kv.key));
+    finals.emplace_back(id, kv.value.substr(1));
+  }
+  for (const auto& [id, bytes] : finals) {
+    AGL_ASSIGN_OR_RETURN(subgraph::GraphFeature gf,
+                         subgraph::GraphFeature::Parse(bytes));
+    CountFeature(gf, stats);
+  }
+  return StoreFeaturePayloads(config, std::move(finals), dfs, dataset);
+}
+
 agl::Result<GraphFlatStats> RunGraphFlat(const GraphFlatConfig& config,
                                          const std::vector<NodeRecord>& nodes,
                                          const std::vector<EdgeRecord>& edges,
@@ -662,22 +547,8 @@ agl::Result<GraphFlatStats> RunGraphFlat(const GraphFlatConfig& config,
   GraphFlatStats stats;
   AGL_ASSIGN_OR_RETURN(std::vector<mr::KeyValue> records,
                        RunPipeline(config, nodes, edges, &stats));
-  std::vector<std::pair<NodeId, std::string>> finals;
-  for (mr::KeyValue& kv : records) {
-    if (kv.value.empty() || kv.value[0] != kTagFinal) continue;
-    finals.emplace_back(static_cast<NodeId>(std::stoull(kv.key)),
-                        kv.value.substr(1));
-  }
-  for (const auto& [id, bytes] : finals) {
-    AGL_ASSIGN_OR_RETURN(subgraph::GraphFeature gf,
-                         subgraph::GraphFeature::Parse(bytes));
-    stats.num_features++;
-    stats.total_nodes += gf.num_nodes();
-    stats.total_edges += gf.num_edges();
-    stats.max_nodes = std::max(stats.max_nodes, gf.num_nodes());
-  }
   AGL_RETURN_IF_ERROR(
-      StoreFeaturePayloads(config, std::move(finals), dfs, dataset));
+      StoreFinalRecords(config, std::move(records), dfs, dataset, &stats));
   return stats;
 }
 

@@ -21,10 +21,11 @@
 // sampled+merged per suffix shard (sound because state merge is a set
 // union), and inverted back to the original key.
 //
-// Sharding (`num_shards` > 1): the tables are hash-partitioned across S
-// logical shards, one job runs per shard with boundary states exchanged
-// between rounds, and a merge stage set-unions per-node states before
-// Store. Output is byte-identical for every shard count; see shard.h.
+// Sharding: the tables are hash-partitioned across S = `num_shards` logical
+// shards and one job runs per shard (RunFlatShard), with boundary states
+// exchanged between rounds and the Storing step run in the last round on
+// each node's home shard. S = 1 is the same code over a one-shard
+// exchange. Output is byte-identical for every shard count; see shard.h.
 
 #pragma once
 
@@ -60,10 +61,9 @@ struct GraphFlatConfig {
   int output_parts = 4;
   /// Logical MapReduce shards. The tables are hash-partitioned (nodes to
   /// their home shard, edges to both endpoint shards so the round-0 join
-  /// stays local), one GraphFlat job runs per shard with boundary states
-  /// exchanged between rounds, and a merge stage set-unions the states of
-  /// nodes touched by multiple shards before the Storing step. Output is
-  /// invariant to this value; see src/flat/shard.h.
+  /// stays local) and one GraphFlat job runs per shard with boundary
+  /// states exchanged between rounds. Output is invariant to this value;
+  /// see src/flat/shard.h.
   int num_shards = 1;
   mr::JobConfig job;
 
@@ -79,7 +79,7 @@ struct GraphFlatStats {
   int64_t max_nodes = 0;     // largest single neighborhood
   double elapsed_seconds = 0;
   mr::JobStats job_stats;
-  /// Boundary-exchange traffic (sharded runs only; zeros otherwise).
+  /// Boundary-exchange traffic, summed over shards.
   ExchangeStats exchange;
 };
 
@@ -116,30 +116,30 @@ agl::Status StoreFeaturePayloads(
     std::vector<std::pair<NodeId, std::string>> finals, mr::LocalDfs* dfs,
     const std::string& dataset);
 
-/// One shard's complete sharded-pipeline run against an Exchange: map over
-/// the shard's table slice, the k+1 reduce rounds with Publish/Collect of
-/// boundary states between them, then the shard-local merge + Storing
-/// step. Returns the shard's final 'F'-tagged GraphFeature records. This
-/// is the unit the in-process path runs on S threads over an
-/// InMemoryExchange and the multi-process driver runs in S shard worker
-/// processes over a DfsExchange — byte-identical either way, because each
-/// reduce group sees the same value multiset and the engine delivers
-/// values in canonical order.
+/// The Storing step's publish half over a pipeline run's final records:
+/// keeps the 'F'-tagged GraphFeature records, adds them to `stats`'
+/// feature counters and publishes them as `dataset` via
+/// StoreFeaturePayloads. Shared by RunGraphFlat and the multi-process
+/// driver, which collects the records from its shard processes.
+agl::Status StoreFinalRecords(const GraphFlatConfig& config,
+                              std::vector<mr::KeyValue> records,
+                              mr::LocalDfs* dfs, const std::string& dataset,
+                              GraphFlatStats* stats);
+
+/// One shard's complete pipeline run against an Exchange: map over the
+/// shard's table slice, then the k+1 reduce rounds with Publish/Collect of
+/// boundary states between them; the last round performs the Storing step
+/// for the targets homed on this shard. Returns the shard's final
+/// 'F'-tagged GraphFeature records. This is the unit the in-process path
+/// runs on S threads through RunShardsInProcess and the multi-process
+/// driver runs in S shard worker processes over a DfsExchange —
+/// byte-identical either way, because each reduce group sees the same
+/// value multiset and the engine delivers values in canonical order.
 agl::Result<std::vector<mr::KeyValue>> RunFlatShard(
     const GraphFlatConfig& config, int shard,
     const std::vector<NodeRecord>& shard_nodes,
     const std::vector<EdgeRecord>& shard_edges, int64_t node_feature_dim,
     int64_t edge_feature_dim, Exchange* exchange,
-    mr::JobStats* stats = nullptr);
-
-/// Exposed for tests: the shard-merge stage over one shard's last-round
-/// state records ('S'-tagged SubgraphState bytes keyed by node id). States
-/// sharing a key are set-unioned — the reconcile-before-Store contract
-/// that looser routing (e.g. at-least-once delivery) relies on — and the
-/// Storing step emits the 'F'-tagged GraphFeature records for targets.
-agl::Result<std::vector<mr::KeyValue>> MergeShardStates(
-    const GraphFlatConfig& config, int64_t node_feature_dim,
-    int64_t edge_feature_dim, std::vector<mr::KeyValue> records,
     mr::JobStats* stats = nullptr);
 
 }  // namespace agl::flat

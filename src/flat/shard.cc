@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <future>
-#include <utility>
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
@@ -53,18 +52,6 @@ void ShardRouter::FilterToShard(int shard,
   std::erase_if(*records, [this, shard](const mr::KeyValue& kv) {
     return plan_.HomeShard(kv.key) != shard;
   });
-}
-
-std::vector<std::vector<mr::KeyValue>> ShardRouter::Exchange(
-    std::vector<std::vector<mr::KeyValue>> per_shard) const {
-  std::vector<std::vector<mr::KeyValue>> routed(plan_.num_shards());
-  for (std::vector<mr::KeyValue>& records : per_shard) {
-    for (mr::KeyValue& kv : records) {
-      routed[plan_.HomeShard(kv.key)].push_back(std::move(kv));
-    }
-    records.clear();
-  }
-  return routed;
 }
 
 agl::Status ParallelOverShards(int num_shards,

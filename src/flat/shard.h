@@ -1,15 +1,15 @@
-// Sharded GraphFlat (§3.2 at scale): the node/edge tables are
+// Sharded round pipelines (§3.2 at scale): the node/edge tables are
 // hash-partitioned across S logical MapReduce shards, each shard runs the
-// GraphFlat rounds over its own key range, and a router exchanges boundary
-// records (neighbor states whose destination lives on another shard)
-// between rounds. Every shuffle key has exactly one home shard, so each
-// reduce group sees the same value multiset as a single-shard run — which,
-// combined with the engine's canonical value ordering, makes the pipeline's
-// output invariant to the shard count (the property tests/sharding_test.cpp
-// proves byte-for-byte).
+// rounds over its own key range, and an Exchange (flat/exchange.h) moves
+// boundary records (neighbor states whose destination lives on another
+// shard) between rounds. Every shuffle key has exactly one home shard, so
+// each reduce group sees the same value multiset as a single-shard run —
+// which, combined with the engine's canonical value ordering, makes the
+// pipeline's output invariant to the shard count (the property
+// tests/sharding_test.cpp proves byte-for-byte).
 //
-// GraphInfer reuses the same plan/router to shard its message-passing
-// rounds.
+// GraphFlat, GraphInfer and the analytics superstep loop all shard their
+// rounds with this plan.
 
 #pragma once
 
@@ -49,7 +49,7 @@ struct ShardedTables {
   std::vector<std::vector<EdgeRecord>> edges;  // [shard] -> incident edges
 };
 
-/// Moves records between the per-shard jobs.
+/// Splits the input tables and map output between the per-shard jobs.
 class ShardRouter {
  public:
   explicit ShardRouter(ShardPlan plan) : plan_(plan) {}
@@ -66,12 +66,6 @@ class ShardRouter {
   /// two stubs twice, and the filter keeps each stub only on its home
   /// shard, so every record survives exactly once globally.
   void FilterToShard(int shard, std::vector<mr::KeyValue>* records) const;
-
-  /// The inter-round exchange: regroups every shard's output by the home
-  /// shard of each record's key. This is the boundary traffic — neighbor
-  /// states propagated along edges that cross the partition.
-  std::vector<std::vector<mr::KeyValue>> Exchange(
-      std::vector<std::vector<mr::KeyValue>> per_shard) const;
 
   const ShardPlan& plan() const { return plan_; }
 

@@ -1,5 +1,7 @@
 #include "flat/tables.h"
 
+#include <charconv>
+
 #include "io/codec.h"
 
 namespace agl::flat {
@@ -40,6 +42,18 @@ agl::Result<EdgeRecord> EdgeRecord::Parse(const std::string& bytes) {
   AGL_RETURN_IF_ERROR(r.GetFloat(&rec.weight));
   AGL_RETURN_IF_ERROR(r.GetFloatArray(&rec.features));
   return rec;
+}
+
+agl::Result<NodeId> ParseNodeKey(const std::string& key) {
+  NodeId id = 0;
+  const char* end = key.data() + key.size();
+  // For an unsigned type from_chars rejects an empty input, a sign and
+  // whitespace, and reports overflow as result_out_of_range.
+  const auto [ptr, ec] = std::from_chars(key.data(), end, id);
+  if (ec != std::errc() || ptr != end) {
+    return agl::Status::Corruption("malformed node key '" + key + "'");
+  }
+  return id;
 }
 
 }  // namespace agl::flat

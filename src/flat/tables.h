@@ -49,4 +49,11 @@ struct EdgeRecord {
   }
 };
 
+/// Parses a shuffle key back to the node id it was written from with
+/// std::to_string. kCorruption for an empty key, a sign, any non-digit,
+/// trailing bytes or a value outside NodeId's range — keys arrive through
+/// the exchange from other shards and processes, so a bad one must surface
+/// as a Status, never as an exception or a silently wrapped id.
+agl::Result<NodeId> ParseNodeKey(const std::string& key);
+
 }  // namespace agl::flat

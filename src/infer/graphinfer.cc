@@ -7,6 +7,7 @@
 
 #include "common/logging.h"
 #include "common/rng.h"
+#include "flat/exchange.h"
 #include "flat/shard.h"
 #include "infer/embedding_cache.h"
 #include "infer/segmentation.h"
@@ -133,7 +134,7 @@ class InferReducer : public mr::Reducer {
       // Structure-only node (no node-table row): drop.
       return agl::Status::OK();
     }
-    const NodeId self_id = static_cast<NodeId>(std::stoull(key));
+    AGL_ASSIGN_OR_RETURN(const NodeId self_id, flat::ParseNodeKey(key));
 
     std::vector<float> new_emb;
     if (ctx_.round == 0) {
@@ -283,8 +284,47 @@ struct CoreOptions {
   uint64_t model_version = 0;
 };
 
+/// One shard's GraphInfer round schedule against an Exchange, shaped like
+/// flat::RunFlatShard: rounds 0..K+1 reduce this shard's records, and
+/// after every round that still propagates (r < K) the neighbor
+/// embeddings move to their destination's home shard. Adds the shard's
+/// live record bytes x round time to `*memory_gb_minutes`.
+agl::Result<std::vector<mr::KeyValue>> RunInferShard(
+    const InferConfig& config, RoundContext ctx, int shard,
+    std::vector<mr::KeyValue> records, flat::Exchange* exchange,
+    double* memory_gb_minutes) {
+  for (int round = 0; round <= ctx.num_layers + 1; ++round) {
+    Stopwatch round_watch;
+    int64_t live_bytes = 0;
+    for (const mr::KeyValue& kv : records) {
+      live_bytes += static_cast<int64_t>(kv.key.size() + kv.value.size());
+    }
+    ctx.round = round;
+    const RoundContext round_ctx = ctx;
+    AGL_ASSIGN_OR_RETURN(
+        records,
+        mr::RunReducePhase(config.job, std::move(records),
+                           [round_ctx] {
+                             return std::make_unique<InferReducer>(round_ctx);
+                           },
+                           nullptr));
+    // Cross-key (neighbor) records exist only while rounds still
+    // propagate; afterwards everything is self-keyed and already home.
+    if (round < ctx.num_layers) {
+      AGL_RETURN_IF_ERROR(exchange->Publish(round, shard, std::move(records)));
+      AGL_ASSIGN_OR_RETURN(records, exchange->Collect(round, shard));
+    }
+    *memory_gb_minutes += static_cast<double>(live_bytes) /
+                          (1024.0 * 1024.0 * 1024.0) *
+                          (round_watch.Seconds() / 60.0);
+  }
+  return records;
+}
+
 /// The MapReduce round schedule over one (possibly pruned) input graph —
-/// the body both RunGraphInfer and the batched driver share.
+/// the body both RunGraphInfer and the batched driver share. Sharded
+/// execution mirrors GraphFlat: records live on their key's home shard and
+/// one RunInferShard per shard runs through flat::RunShardsInProcess.
 agl::Result<InferResult> RunInferCore(const InferConfig& config,
                                       const std::vector<NodeRecord>& nodes,
                                       const std::vector<EdgeRecord>& edges,
@@ -319,28 +359,29 @@ agl::Result<InferResult> RunInferCore(const InferConfig& config,
                                     static_cast<int64_t>(nodes.size()),
                                     std::move(entries)));
 
-  // Map-equivalent bootstrap input: self embeddings (raw features), in-edge
-  // stubs with normalized weights, out-edge lists.
-  std::vector<mr::KeyValue> records;
-  records.reserve(nodes.size() + 2 * norm.nnz());
-  int64_t live_bytes = 0;
+  // Map-equivalent bootstrap input, built straight onto each key's home
+  // shard: self embeddings (raw features), in-edge stubs with normalized
+  // weights, out-edge lists.
+  const int num_shards = std::max(1, config.num_shards);
+  const flat::ShardPlan plan(num_shards);
+  std::vector<std::vector<mr::KeyValue>> seeded(num_shards);
+  const auto emit = [&](std::string key, std::string value) {
+    const int home = plan.HomeShard(key);
+    seeded[home].push_back({std::move(key), std::move(value)});
+  };
   for (const NodeRecord& n : nodes) {
-    const std::string key = std::to_string(n.id);
-    records.push_back(
-        {key, Tagged(kTagEmb, EncodeEmbedding(n.id, n.features))});
+    emit(std::to_string(n.id),
+         Tagged(kTagEmb, EncodeEmbedding(n.id, n.features)));
   }
   for (int64_t dst = 0; dst < norm.rows(); ++dst) {
     const std::string dst_key = std::to_string(nodes[dst].id);
     for (int64_t p = norm.row_ptr()[dst]; p < norm.row_ptr()[dst + 1]; ++p) {
       const NodeId src_id = nodes[norm.col_idx()[p]].id;
-      records.push_back(
-          {dst_key,
-           Tagged(kTagInStub, EncodeStub(src_id, norm.values()[p]))});
+      emit(dst_key, Tagged(kTagInStub, EncodeStub(src_id, norm.values()[p])));
       if (src_id != nodes[dst].id) {
         io::BufferWriter w;
         w.PutVarint64(nodes[dst].id);
-        records.push_back(
-            {std::to_string(src_id), Tagged(kTagOutEdge, w.Release())});
+        emit(std::to_string(src_id), Tagged(kTagOutEdge, w.Release()));
       }
     }
   }
@@ -356,56 +397,22 @@ agl::Result<InferResult> RunInferCore(const InferConfig& config,
   ctx.cache_all_rounds = opts.cache_all_rounds;
   ctx.model_version = opts.model_version;
 
-  InferResult result;
-  // Sharded execution mirrors GraphFlat: records live on their key's home
-  // shard, one reduce job runs per shard per round, and propagated
-  // neighbor embeddings are exchanged across the partition between rounds.
-  // num_shards == 1 degenerates to the single global job.
-  const int num_shards = std::max(1, config.num_shards);
-  flat::ShardRouter router{flat::ShardPlan(num_shards)};
-  std::vector<std::vector<mr::KeyValue>> seeded;
-  seeded.push_back(std::move(records));
-  std::vector<std::vector<mr::KeyValue>> shard_records =
-      router.Exchange(std::move(seeded));
-  std::vector<mr::JobStats> shard_stats(num_shards);
-  for (int round = 0; round <= config.model.num_layers + 1; ++round) {
-    Stopwatch round_watch;
-    ctx.round = round;
-    const RoundContext round_ctx = ctx;
-    for (const auto& recs : shard_records) {
-      for (const mr::KeyValue& kv : recs) {
-        live_bytes += static_cast<int64_t>(kv.key.size() + kv.value.size());
-      }
-    }
-    AGL_RETURN_IF_ERROR(flat::ParallelOverShards(num_shards, [&](int s) {
-      AGL_ASSIGN_OR_RETURN(
-          shard_records[s],
-          mr::RunReducePhase(config.job, std::move(shard_records[s]),
-                             [round_ctx] {
-                               return std::make_unique<InferReducer>(round_ctx);
-                             },
-                             &shard_stats[s]));
-      return agl::Status::OK();
-    }));
-    // Cross-key (neighbor) records exist only while rounds still
-    // propagate; afterwards everything is self-keyed and already home.
-    if (round < config.model.num_layers) {
-      shard_records = router.Exchange(std::move(shard_records));
-    }
-    result.costs.memory_gb_minutes +=
-        static_cast<double>(live_bytes) / (1024.0 * 1024.0 * 1024.0) *
-        (round_watch.Seconds() / 60.0);
-    live_bytes = 0;
-  }
+  std::vector<double> shard_memory(num_shards, 0.0);
+  AGL_ASSIGN_OR_RETURN(
+      const std::vector<mr::KeyValue> records,
+      flat::RunShardsInProcess(num_shards, [&](int s, flat::Exchange* x) {
+        return RunInferShard(config, ctx, s, std::move(seeded[s]), x,
+                             &shard_memory[s]);
+      }));
 
-  for (const auto& recs : shard_records) {
-    for (const mr::KeyValue& kv : recs) {
-      if (kv.value.empty() || kv.value[0] != kTagScore) continue;
-      NodeId id;
-      std::vector<float> scores;
-      AGL_RETURN_IF_ERROR(DecodeEmbedding(kv.value.substr(1), &id, &scores));
-      result.scores.emplace_back(id, std::move(scores));
-    }
+  InferResult result;
+  for (double m : shard_memory) result.costs.memory_gb_minutes += m;
+  for (const mr::KeyValue& kv : records) {
+    if (kv.value.empty() || kv.value[0] != kTagScore) continue;
+    NodeId id;
+    std::vector<float> scores;
+    AGL_RETURN_IF_ERROR(DecodeEmbedding(kv.value.substr(1), &id, &scores));
+    result.scores.emplace_back(id, std::move(scores));
   }
   std::sort(result.scores.begin(), result.scores.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });

@@ -227,6 +227,24 @@ TEST(GraphInferTest, SurvivesInjectedFaults) {
   }
 }
 
+// A shard whose reduce dies (an injected crash is never retried) must fail
+// the whole run: its peers are parked in the exchange's Collect, and only
+// the launcher's Abort releases them.
+TEST(GraphInferTest, ShardCrashFailsRunInsteadOfHanging) {
+  data::Dataset ds = SmallUug(40);
+  gnn::ModelConfig mconfig =
+      SmallModel(gnn::ModelType::kGcn, 2, ds.feature_dim);
+  gnn::GnnModel model(mconfig);
+  InferConfig config;
+  config.model = mconfig;
+  config.num_shards = 3;
+  fail::ScopedFailpoint crash("mr.reduce", fail::CrashOnHit(2));
+  auto result = RunGraphInfer(config, model.StateDict(), ds.nodes, ds.edges);
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(fail::IsInjectedCrash(result.status()))
+      << result.status().ToString();
+}
+
 TEST(GraphInferTest, TargetSubsetMatchesFullRun) {
   // §3.4: pruned inference over part of the graph. For models whose
   // normalization depends only on in-edges (SAGE row-norm, GAT attention),

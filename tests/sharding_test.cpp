@@ -2,8 +2,7 @@
 // invariant to the shard count. For every (seed, hops, S) the sharded run
 // must produce byte-identical GraphFeatures — and identical feature stats
 // — to the single-shard run, including when hub re-indexing and sampling
-// are active and when task faults are injected into the per-shard jobs and
-// the merge stage.
+// are active and when task faults are injected into the per-shard jobs.
 //
 // The heavier seed sweep runs under the `sharding` CTest label
 // (`ctest -L sharding`) with AGL_SHARDING_HEAVY=1 set by its CTest entry;
@@ -21,7 +20,6 @@
 #include "common/logging.h"
 #include "flat/graphflat.h"
 #include "flat/shard.h"
-#include "flat/state.h"
 #include "mr/local_dfs.h"
 #include "testing/graph_gen.h"
 #include "trainer/feature_source.h"
@@ -124,70 +122,6 @@ TEST(ShardRouterTest, EdgesLandOnBothEndpointShards) {
   EXPECT_EQ(total_edges, expected_edge_rows);
 }
 
-TEST(ShardRouterTest, ExchangeRoutesEveryRecordHome) {
-  ShardPlan plan(4);
-  ShardRouter router(plan);
-  std::vector<std::vector<mr::KeyValue>> scattered(4);
-  for (int i = 0; i < 100; ++i) {
-    std::string value("v");
-    value += std::to_string(i);
-    scattered[i % 4].push_back({std::to_string(i), std::move(value)});
-  }
-  auto routed = router.Exchange(std::move(scattered));
-  ASSERT_EQ(routed.size(), 4u);
-  std::size_t total = 0;
-  for (int s = 0; s < 4; ++s) {
-    for (const mr::KeyValue& kv : routed[s]) {
-      EXPECT_EQ(plan.HomeShard(kv.key), s);
-    }
-    total += routed[s].size();
-  }
-  EXPECT_EQ(total, 100u);
-}
-
-// The merge stage's reconcile contract, exercised directly: states for a
-// node arriving from several shards (as looser, at-least-once routing can
-// produce) are set-unioned before the Storing step.
-TEST(ShardMergeTest, OverlappingStatesAreSetUnioned) {
-  SubgraphState a(1), b(1);
-  a.AddNode({1, {1.f}, 0, {}});
-  a.AddNode({2, {2.f}, -1, {}});
-  a.AddEdge({2, 1, 1.f, {}});
-  b.AddNode({1, {1.f}, 0, {}});
-  b.AddNode({3, {3.f}, -1, {}});
-  b.AddEdge({3, 1, 1.f, {}});
-  b.AddEdge({2, 1, 1.f, {}});  // overlap with `a`
-  const auto state_record = [](const SubgraphState& s) {
-    std::string value("S");
-    value += s.Serialize();
-    return value;
-  };
-  std::vector<mr::KeyValue> records = {{"1", state_record(a)},
-                                       {"1", state_record(b)},
-                                       {"1", state_record(a)}};  // dup
-
-  GraphFlatConfig config;
-  auto merged = MergeShardStates(config, /*node_feature_dim=*/1,
-                                 /*edge_feature_dim=*/0, records);
-  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
-  ASSERT_EQ(merged->size(), 1u);
-  ASSERT_EQ((*merged)[0].value[0], 'F');
-  auto gf = GraphFeature::Parse((*merged)[0].value.substr(1));
-  ASSERT_TRUE(gf.ok());
-
-  SubgraphState expected = a;
-  expected.Merge(b);
-  auto expected_gf = expected.ToGraphFeature(1, 0);
-  ASSERT_TRUE(expected_gf.ok());
-  EXPECT_EQ(gf->Serialize(), expected_gf->Serialize());
-  EXPECT_EQ(gf->num_nodes(), 3);
-  EXPECT_EQ(gf->num_edges(), 2);
-
-  // Non-state records in the merge stage surface as corruption.
-  records.push_back({"1", "Xjunk"});
-  EXPECT_FALSE(MergeShardStates(config, 1, 0, records).ok());
-}
-
 // The tentpole property: sharded output is byte-identical to single-shard
 // for seeds x hops{1,2,3} x S{1,2,4,7}, with hub re-indexing active.
 TEST(ShardInvarianceTest, ByteIdenticalAcrossShardCounts) {
@@ -271,8 +205,8 @@ TEST(ShardInvarianceTest, StatsAggregateAcrossShards) {
             single_stats.job_stats.reduce_tasks);
 }
 
-// Deterministic task failures during the per-shard jobs AND the merge
-// stage must still yield the single-shard-equivalent output.
+// Deterministic task failures during the per-shard jobs must still yield
+// the single-shard-equivalent output.
 TEST(ShardInvarianceTest, FaultInjectionPreservesEquivalence) {
   GeneratedGraph g = MakeGraph(HubbyGraph(55));
   auto clean = RunGraphFlatInMemory(ShardedConfig(2, 1), g.nodes, g.edges);

@@ -6,8 +6,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iterator>
-#include <limits>
-#include <map>
 #include <thread>
 #include <utility>
 
@@ -15,9 +13,7 @@
 #include "common/mutex.h"
 #include "common/subprocess.h"
 #include "common/timer.h"
-#include "gnn/model.h"
 #include "io/codec.h"
-#include "nn/state_io.h"
 #include "ps/client.h"
 #include "ps/parameter_server.h"
 #include "ps/remote.h"
@@ -57,22 +53,6 @@ std::string ResName(const std::string& prefix, int epoch, int worker) {
 std::string TrainErrName(const std::string& prefix, int epoch, int worker) {
   return prefix + ".err.e" + std::to_string(epoch) + ".w" +
          std::to_string(worker);
-}
-
-/// Splits [0, n) into `parts` nearly equal contiguous ranges — must stay
-/// identical to the trainer's partitioner so a worker process picks up
-/// exactly the slice the in-process path would give it.
-std::vector<std::pair<std::size_t, std::size_t>> SplitRanges(std::size_t n,
-                                                             int parts) {
-  std::vector<std::pair<std::size_t, std::size_t>> out;
-  parts = std::max(1, parts);
-  const std::size_t chunk = (n + parts - 1) / parts;
-  for (int p = 0; p < parts; ++p) {
-    const std::size_t begin = static_cast<std::size_t>(p) * chunk;
-    if (begin >= n) break;
-    out.emplace_back(begin, std::min(n, begin + chunk));
-  }
-  return out;
 }
 
 void MergeStats(DriverStats* into, const DriverStats& from) {
@@ -210,7 +190,7 @@ agl::Status RunTrainWorker(const std::string& root, const std::string& prefix,
     features.push_back(std::move(gf));
   }
   const auto partitions =
-      SplitRanges(features.size(), meta.config.num_workers);
+      trainer::internal::SplitRanges(features.size(), meta.config.num_workers);
   if (static_cast<int>(partitions.size()) != meta.active_workers ||
       worker < 0 || worker >= meta.active_workers) {
     return agl::Status::Internal("train worker partition mismatch");
@@ -252,6 +232,18 @@ int FinishWorker(const agl::Status& status, const std::string& root,
 
 // --- driver-side supervision ------------------------------------------------
 
+/// Tallies one reaped worker by how it exited.
+void CountExit(const ExitStatus& exit, DriverStats* stats, common::Mutex* mu) {
+  common::MutexLock lock(mu);
+  if (exit.clean()) {
+    stats->clean_exits++;
+  } else if (exit.signaled) {
+    stats->signal_exits++;
+  } else {
+    stats->error_exits++;
+  }
+}
+
 /// Runs one shard worker to a clean exit, restarting signal deaths (and
 /// retryable worker-reported errors, e.g. an exchange timeout caused by a
 /// dead peer) up to the classified-retry budget. Runs concurrently for all
@@ -277,16 +269,7 @@ agl::Status SuperviseShard(const DriverOptions& options,
         stats->spawns++;
       }
       AGL_ASSIGN_OR_RETURN(const ExitStatus exit, common::Wait(*pid));
-      {
-        common::MutexLock lock(mu);
-        if (exit.clean()) {
-          stats->clean_exits++;
-        } else if (exit.signaled) {
-          stats->signal_exits++;
-        } else {
-          stats->error_exits++;
-        }
-      }
+      CountExit(exit, stats, mu);
       attempt_status = common::ClassifyExit(exit, what);
       if (attempt_status.ok()) return agl::Status::OK();
       if (!exit.signaled) {
@@ -320,6 +303,28 @@ agl::Status ValidateDriverOptions(const DriverOptions& options) {
   }
   return agl::Status::OK();
 }
+
+/// Drops every "<job_prefix>." dataset when a job ends. The success path
+/// calls Finish() to surface a cleanup failure; every other exit cleans up
+/// on destruction.
+class JobCleanup {
+ public:
+  explicit JobCleanup(const DriverOptions& options) : options_(options) {}
+  JobCleanup(const JobCleanup&) = delete;
+  JobCleanup& operator=(const JobCleanup&) = delete;
+  ~JobCleanup() {
+    if (!finished_) (void)Finish();
+  }
+  agl::Status Finish() {
+    finished_ = true;
+    return flat::DfsExchange::CleanupPrefix(options_.dfs,
+                                            options_.job_prefix);
+  }
+
+ private:
+  const DriverOptions& options_;
+  bool finished_ = false;
+};
 
 /// The driver half of a process-mode shard job (GraphFlat, analytics):
 /// clears the job's datasets, publishes `meta` and the per-shard table
@@ -398,6 +403,7 @@ agl::Result<flat::GraphFlatStats> RunGraphFlatProcesses(
       edges.empty() ? 0 : static_cast<int64_t>(edges[0].features.size());
   meta.exchange_poll_ms = options.exchange_poll_ms;
   meta.exchange_timeout_ms = options.exchange_timeout_ms;
+  JobCleanup cleanup(options);
   DriverStats local;
   std::vector<std::string> stats_blobs;
   AGL_ASSIGN_OR_RETURN(
@@ -418,8 +424,7 @@ agl::Result<flat::GraphFlatStats> RunGraphFlatProcesses(
   }
   AGL_RETURN_IF_ERROR(flat::StoreFinalRecords(meta.config, std::move(records),
                                               out_dfs, dataset, &out_stats));
-  AGL_RETURN_IF_ERROR(
-      flat::DfsExchange::CleanupPrefix(options.dfs, options.job_prefix));
+  AGL_RETURN_IF_ERROR(cleanup.Finish());
   out_stats.elapsed_seconds = watch.Seconds();
   local.exchange = out_stats.exchange;
   if (stats != nullptr) MergeStats(stats, local);
@@ -445,6 +450,7 @@ agl::Result<analytics::AnalyticsResult> RunAnalyticsProcesses(
   meta.num_vertices = static_cast<int64_t>(nodes.size());
   meta.exchange_poll_ms = options.exchange_poll_ms;
   meta.exchange_timeout_ms = options.exchange_timeout_ms;
+  JobCleanup cleanup(options);
   DriverStats local;
   std::vector<std::string> stats_blobs;
   AGL_ASSIGN_OR_RETURN(
@@ -474,8 +480,7 @@ agl::Result<analytics::AnalyticsResult> RunAnalyticsProcesses(
     result.stats.job_stats.Accumulate(ss.job_stats);
     result.stats.exchange.Accumulate(ss.exchange);
   }
-  AGL_RETURN_IF_ERROR(
-      flat::DfsExchange::CleanupPrefix(options.dfs, options.job_prefix));
+  AGL_RETURN_IF_ERROR(cleanup.Finish());
   result.stats.elapsed_seconds = watch.Seconds();
   local.exchange = result.stats.exchange;
   if (stats != nullptr) MergeStats(stats, local);
@@ -565,16 +570,7 @@ agl::Status RunTrainEpochAttempt(
   bool signaled = false;
   for (int w = 0; w < active_workers; ++w) {
     AGL_RETURN_IF_ERROR(wait_errors[w]);
-    {
-      common::MutexLock lock(mu);
-      if (exits[w].clean()) {
-        stats->clean_exits++;
-      } else if (exits[w].signaled) {
-        stats->signal_exits++;
-      } else {
-        stats->error_exits++;
-      }
-    }
+    CountExit(exits[w], stats, mu);
     if (exits[w].signaled) signaled = true;
   }
   if (signaled) {
@@ -617,8 +613,6 @@ agl::Result<trainer::TrainReport> TrainProcesses(
     const DriverOptions& options, const trainer::TrainerConfig& config,
     std::span<const subgraph::GraphFeature> train,
     std::span<const subgraph::GraphFeature> val, DriverStats* stats) {
-  using StateDict = std::map<std::string, tensor::Tensor>;
-  using PsSnapshot = std::map<std::string, ps::ExportedParam>;
   AGL_RETURN_IF_ERROR(ValidateDriverOptions(options));
   AGL_RETURN_IF_ERROR(config.Validate());
   if (train.empty()) {
@@ -629,9 +623,6 @@ agl::Result<trainer::TrainReport> TrainProcesses(
         "TrainProcesses: kAsync has no replayable schedule across a process "
         "respawn; use kBsp or kSsp");
   }
-  if (config.staleness_bound < 0) {
-    return agl::Status::InvalidArgument("staleness_bound must be >= 0");
-  }
   if (config.checkpoint_every_batches > 0 || config.resume) {
     return agl::Status::InvalidArgument(
         "TrainProcesses: mid-epoch checkpoint/resume is in-process only; "
@@ -639,9 +630,11 @@ agl::Result<trainer::TrainReport> TrainProcesses(
   }
 
   const std::string& prefix = options.job_prefix;
+  JobCleanup cleanup(options);
   AGL_RETURN_IF_ERROR(flat::DfsExchange::CleanupPrefix(options.dfs, prefix));
 
-  const auto partitions = SplitRanges(train.size(), config.num_workers);
+  const auto partitions =
+      trainer::internal::SplitRanges(train.size(), config.num_workers);
   const int active_workers = static_cast<int>(partitions.size());
   // kBsp rides the wire as SSP at bound 0 — proven bit-identical by the
   // consistency suite, and it gives both modes one recovery protocol.
@@ -671,95 +664,47 @@ agl::Result<trainer::TrainReport> TrainProcesses(
                                                   /*num_parts=*/1));
   }
 
-  Stopwatch total_watch;
-  gnn::GnnModel init_model(config.model);
-  ps::ServerOptions ps_opts;
-  ps_opts.num_shards = config.ps_shards;
-  ps_opts.adam = config.adam;
-  ps::ParameterServer server(ps_opts);
-  ps::LocalPsClient client(&server);
-  if (config.initial_state.empty()) {
-    AGL_RETURN_IF_ERROR(client.Initialize(init_model.StateDict()));
-  } else {
-    AGL_RETURN_IF_ERROR(init_model.LoadStateDict(config.initial_state));
-    AGL_RETURN_IF_ERROR(client.Initialize(config.initial_state));
-  }
+  // GraphTrainer's epoch loop over a PS the workers reach through `wire`;
+  // only the epoch runner is process-specific.
+  ps::ParameterServer server(trainer::internal::PsOptions(config));
   ps::PsServer wire(&server);
   AGL_RETURN_IF_ERROR(wire.Start());
-
   AGL_ASSIGN_OR_RETURN(const std::string self, common::SelfExecutable());
-  trainer::GraphTrainer evaluator(config);
   DriverStats local;
   common::Mutex stats_mu;
-
-  trainer::TrainReport report;
-  report.best_val_metric = -std::numeric_limits<double>::infinity();
-  int bad_evals = 0;
-
-  for (int epoch = 0; epoch < config.epochs; ++epoch) {
-    Stopwatch epoch_watch;
-    std::vector<WorkerResult> results(active_workers);
-    // Epoch-grained recovery point: values + Adam moments as of the epoch
-    // start. A worker-epoch is a pure function of (config, seed, epoch,
-    // worker) given this state, so a respawned attempt recomputes the
-    // identical bytes.
-    AGL_ASSIGN_OR_RETURN(const PsSnapshot snapshot, client.ExportState());
-    for (int attempt = 0;; ++attempt) {
-      agl::Status st = RunTrainEpochAttempt(
-          options, self, epoch, attempt, active_workers, staleness_bound,
-          wire.port(), &client, &results, &local, &stats_mu);
-      if (st.ok()) break;
-      if (!agl::IsRetryableError(st) || attempt >= options.max_restarts) {
-        return st;
-      }
-      {
-        common::MutexLock lock(&stats_mu);
-        local.restarts++;
-      }
-      AGL_RETURN_IF_ERROR(client.ImportState(snapshot));
-    }
-
-    trainer::EpochRecord rec;
-    rec.epoch = epoch;
-    double loss_sum = 0;
-    int64_t batches = 0;
-    for (const WorkerResult& r : results) {
-      loss_sum += r.loss_sum;
-      batches += r.batches;
-      rec.prep_seconds += r.prep_seconds;
-      rec.compute_seconds += r.compute_seconds;
-      rec.comm_seconds += r.comm_seconds;
-    }
-    rec.mean_train_loss = batches > 0 ? loss_sum / batches : 0;
-    rec.seconds = epoch_watch.Seconds();
-    rec.val_metric = std::numeric_limits<double>::quiet_NaN();
-    if (!val.empty() && config.eval_every > 0 &&
-        (epoch + 1) % config.eval_every == 0) {
-      AGL_ASSIGN_OR_RETURN(const StateDict eval_state, client.PullAll());
-      AGL_ASSIGN_OR_RETURN(rec.val_metric, evaluator.Evaluate(eval_state, val));
-      if (rec.val_metric > report.best_val_metric) {
-        report.best_val_metric = rec.val_metric;
-        bad_evals = 0;
-      } else {
-        ++bad_evals;
-      }
-    }
-    report.epochs.push_back(rec);
-    if (config.checkpoint_dfs != nullptr) {
-      AGL_ASSIGN_OR_RETURN(const StateDict ckpt_state, client.PullAll());
-      AGL_RETURN_IF_ERROR(config.checkpoint_dfs->WriteDataset(
-          config.checkpoint_prefix + "-epoch-" + std::to_string(epoch),
-          {nn::SerializeStateDict(ckpt_state)}, /*num_parts=*/1));
-    }
-    if (config.patience > 0 && bad_evals >= config.patience) break;
-  }
-
-  AGL_ASSIGN_OR_RETURN(report.final_state, client.PullAll());
-  AGL_ASSIGN_OR_RETURN(report.ps_stats, client.Stats());
-  report.total_seconds = total_watch.Seconds();
+  AGL_ASSIGN_OR_RETURN(
+      trainer::TrainReport report,
+      trainer::internal::RunEpochLoop(
+          trainer::GraphTrainer(config), &server, active_workers, val,
+          train.size(),
+          [&](int epoch, ps::PsClient* client,
+              std::vector<WorkerResult>* results,
+              const trainer::internal::MidCheckpointEnv* /*ckpt*/)
+              -> agl::Status {
+            // Epoch-grained recovery point: values + Adam moments as of
+            // the epoch start. A worker-epoch is a pure function of
+            // (config, seed, epoch, worker) given this state, so a
+            // respawned attempt recomputes the identical bytes.
+            AGL_ASSIGN_OR_RETURN(const auto snapshot, client->ExportState());
+            for (int attempt = 0;; ++attempt) {
+              agl::Status st = RunTrainEpochAttempt(
+                  options, self, epoch, attempt, active_workers,
+                  staleness_bound, wire.port(), client, results, &local,
+                  &stats_mu);
+              if (st.ok() || !agl::IsRetryableError(st) ||
+                  attempt >= options.max_restarts) {
+                return st;
+              }
+              {
+                common::MutexLock lock(&stats_mu);
+                local.restarts++;
+              }
+              AGL_RETURN_IF_ERROR(client->ImportState(snapshot));
+            }
+          }));
   wire.Stop();
   local.ps_transport = wire.transport_stats();
-  AGL_RETURN_IF_ERROR(flat::DfsExchange::CleanupPrefix(options.dfs, prefix));
+  AGL_RETURN_IF_ERROR(cleanup.Finish());
   if (stats != nullptr) MergeStats(stats, local);
   return report;
 }

@@ -50,7 +50,7 @@ struct DriverOptions {
   /// be reachable by the worker processes (same machine/root).
   mr::LocalDfs* dfs = nullptr;
   /// Namespace for this job's datasets on `dfs`; everything under
-  /// "<job_prefix>." is dropped when the job ends.
+  /// "<job_prefix>." is dropped when the job ends, failed or not.
   std::string job_prefix = "job";
   /// Classified-retry budget: how many times a signal-killed process (or,
   /// for the trainer, a broken epoch) is relaunched before giving up.
@@ -104,8 +104,10 @@ agl::Result<analytics::AnalyticsResult> RunAnalyticsProcesses(
 /// hosted by the driver. Supports kBsp (run as SSP bound 0 on the wire —
 /// proven bit-identical by the consistency suite) and kSsp; kAsync and
 /// mid-epoch checkpointing are rejected (no replayable schedule across a
-/// process respawn). Epoch-boundary checkpoints (`checkpoint_dfs`),
-/// eval_every and patience behave exactly as GraphTrainer::Train.
+/// process respawn). It runs GraphTrainer's own epoch loop
+/// (trainer::internal::RunEpochLoop) with a process-fleet epoch runner, so
+/// the `initial_state` warm start, eval_every, patience and the
+/// `checkpoint_dfs` epoch checkpoints are Train's.
 agl::Result<trainer::TrainReport> TrainProcesses(
     const DriverOptions& options, const trainer::TrainerConfig& config,
     std::span<const subgraph::GraphFeature> train,

@@ -11,7 +11,7 @@
 //     (ps::ExportedParam — the optimizer trajectory, not just weights);
 //   * the SSP clocks / committed-tick watermark;
 //   * each worker's batch cursor, dropout RNG stream, and running loss;
-//   * the TrainLoop's best-metric / patience counters.
+//   * the epoch loop's best-metric / patience counters.
 //
 // Restoring all of that makes resume *bit-exact* for the deterministic
 // modes (kBsp, and kSsp at staleness bound 0): the resumed run replays the

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <future>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <thread>
@@ -61,20 +63,6 @@ double TaskMetric(TaskKind task, const tensor::Tensor& logits,
 namespace {
 
 using internal::WorkerResult;
-
-/// Splits [0, n) into `parts` nearly equal contiguous ranges.
-std::vector<std::pair<std::size_t, std::size_t>> SplitRanges(std::size_t n,
-                                                             int parts) {
-  std::vector<std::pair<std::size_t, std::size_t>> out;
-  parts = std::max(1, parts);
-  const std::size_t chunk = (n + parts - 1) / parts;
-  for (int p = 0; p < parts; ++p) {
-    const std::size_t begin = static_cast<std::size_t>(p) * chunk;
-    if (begin >= n) break;
-    out.emplace_back(begin, std::min(n, begin + chunk));
-  }
-  return out;
-}
 
 /// Prepares one batch: merge + vectorize + prune + normalize. This is the
 /// "preprocessing stage" of the training pipeline.
@@ -139,23 +127,27 @@ class SpanBatchProducer : public BatchProducer {
 };
 
 /// Batches deserialized straight off the DFS part files (TrainStreaming):
-/// the shard reader keeps memory bounded; this stage vectorizes them.
+/// the shard reader keeps memory bounded; this stage vectorizes them. A
+/// reader that failed to open fails the first Next(), so the worker tears
+/// down like on any other reader-stage error.
 class StreamBatchProducer : public BatchProducer {
  public:
-  explicit StreamBatchProducer(std::unique_ptr<StreamingShardReader> reader)
+  explicit StreamBatchProducer(
+      agl::Result<std::unique_ptr<StreamingShardReader>> reader)
       : reader_(std::move(reader)) {}
 
   agl::Result<std::optional<gnn::PreparedBatch>> Next(
       const gnn::GnnModel& prep_model) override {
+    AGL_RETURN_IF_ERROR(reader_.status());
     AGL_ASSIGN_OR_RETURN(std::vector<GraphFeature> features,
-                         reader_->Next());
+                         (*reader_)->Next());
     if (features.empty()) return std::optional<gnn::PreparedBatch>();
     return std::optional<gnn::PreparedBatch>(
         PrepareSlice(prep_model, features, 0, features.size()));
   }
 
  private:
-  std::unique_ptr<StreamingShardReader> reader_;
+  agl::Result<std::unique_ptr<StreamingShardReader>> reader_;
 };
 
 /// One gradient set travelling from the compute stage to the push/pull
@@ -198,27 +190,70 @@ agl::Status PushGrads(const WorkerEpochContext& ctx, GradMsg msg) {
   return ctx.server->PushGradients(msg.grads);
 }
 
-/// Forward/backward for one batch on the worker's replica; fills `out`
-/// with the named gradients.
-agl::Status ComputeBatch(const WorkerEpochContext& ctx, gnn::GnnModel* model,
+/// Forward/backward for one batch on the worker's replica at `snapshot`;
+/// fills `grads` with the named gradients. The one batch step every epoch
+/// runner shares.
+agl::Status ComputeBatch(const TrainerConfig& config, gnn::GnnModel* model,
                          Rng* rng, const Snapshot& snapshot,
                          const gnn::PreparedBatch& batch, WorkerResult* res,
-                         GradMsg* out) {
+                         std::map<std::string, tensor::Tensor>* grads) {
   AGL_RETURN_IF_ERROR(model->LoadStateDict(snapshot));
   Variable logits = model->Forward(batch, /*training=*/true, rng);
-  Variable loss = TaskLoss(ctx.config->task, logits, batch);
+  Variable loss = TaskLoss(config.task, logits, batch);
   autograd::Backward(loss);
   res->loss_sum += loss.value().at(0, 0);
   res->batches++;
   for (const nn::NamedParameter& p : model->Parameters()) {
     if (p.variable.node()->has_grad()) {
-      out->grads.emplace(p.name, p.variable.grad());
+      grads->emplace(p.name, p.variable.grad());
     }
   }
   // Failpoint "trainer.step": an injected fault here aborts training after
-  // this batch's compute, and the pipeline must tear down without
+  // this batch's compute, and the runner must tear down without
   // deadlocking (the legacy fault_injector hook's contract).
   return fail::MaybeFail("trainer.step");
+}
+
+/// A worker's position with `tick` batches done and their RNG draws
+/// consumed. Only taken at checkpoint ticks (serializing the engine per
+/// batch would be waste).
+WorkerCursor MakeCursor(int64_t tick, Rng* rng, const WorkerResult& res) {
+  WorkerCursor cursor;
+  cursor.next_batch = tick;
+  cursor.loss_sum = res.loss_sum;
+  std::ostringstream oss;
+  oss << rng->engine();
+  cursor.rng_state = oss.str();
+  return cursor;
+}
+
+/// Resume mid-epoch: continues the worker's dropout RNG stream and loss
+/// accounting exactly where the checkpoint froze them.
+void RestoreCursor(const WorkerCursor& cursor, Rng* rng, WorkerResult* res) {
+  if (!cursor.rng_state.empty()) {
+    std::istringstream iss(cursor.rng_state);
+    iss >> rng->engine();
+  }
+  res->loss_sum = cursor.loss_sum;
+  res->batches = cursor.next_batch;
+}
+
+/// Writes the rolling mid-epoch checkpoint for `tick`: the PS values and
+/// Adam moments plus every worker's cursor. The caller guarantees the PS
+/// is quiescent (every worker's push for `tick` landed, none beyond).
+agl::Status WriteMidCheckpoint(const internal::MidCheckpointEnv& env,
+                               ps::PsClient* client, int epoch, int64_t tick,
+                               std::vector<WorkerCursor> cursors) {
+  TrainCheckpoint c;
+  c.fingerprint = env.fingerprint;
+  c.epoch = epoch;
+  c.tick = tick;
+  c.best_val_metric = *env.best_val_metric;
+  c.bad_evals = *env.bad_evals;
+  c.cursors = std::move(cursors);
+  AGL_ASSIGN_OR_RETURN(c.ps_state, client->ExportState());
+  return env.dfs->WriteDataset(env.dataset, {SerializeTrainCheckpoint(c)},
+                               /*num_parts=*/1);
 }
 
 /// The staged pipeline for one worker-epoch:
@@ -246,28 +281,8 @@ void RunPipelinedWorker(const WorkerEpochContext& ctx,
   Rng rng(DeriveSeed(config.seed,
                      static_cast<uint64_t>(ctx.epoch) * 1000 + ctx.worker));
   if (ctx.resume_cursor != nullptr) {
-    // Resume mid-epoch: continue the dropout RNG stream and the loss
-    // accounting exactly where the checkpoint froze them.
-    if (!ctx.resume_cursor->rng_state.empty()) {
-      std::istringstream iss(ctx.resume_cursor->rng_state);
-      iss >> rng.engine();
-    }
-    res->loss_sum = ctx.resume_cursor->loss_sum;
-    res->batches = ctx.resume_cursor->next_batch;
+    RestoreCursor(*ctx.resume_cursor, &rng, res);
   }
-  // Snapshot of this worker's position right after it computed batch
-  // `tick - 1`, i.e. with `tick` batches done and their RNG draws
-  // consumed. Only taken at checkpoint ticks (serializing the engine per
-  // batch would be waste).
-  const auto make_cursor = [&](int64_t tick) {
-    WorkerCursor cursor;
-    cursor.next_batch = tick;
-    cursor.loss_sum = res->loss_sum;
-    std::ostringstream oss;
-    oss << rng.engine();
-    cursor.rng_state = oss.str();
-    return cursor;
-  };
 
   agl::Status status;  // first failure from any stage of this worker
 
@@ -292,12 +307,13 @@ void RunPipelinedWorker(const WorkerEpochContext& ctx,
       }
       Stopwatch compute_watch;
       GradMsg msg;
-      status = ComputeBatch(ctx, &model, &rng, *snapshot, **next, res, &msg);
+      status = ComputeBatch(config, &model, &rng, *snapshot, **next, res,
+                            &msg.grads);
       res->compute_seconds += compute_watch.Seconds();
       if (!status.ok()) break;
       ++tick;
       if (ctx.coord != nullptr && ctx.coord->IsCheckpointTick(tick)) {
-        ctx.coord->Deposit(ctx.worker, tick, make_cursor(tick));
+        ctx.coord->Deposit(ctx.worker, tick, MakeCursor(tick, &rng, *res));
       }
       Stopwatch push_watch;
       status = PushGrads(ctx, std::move(msg));
@@ -396,14 +412,15 @@ void RunPipelinedWorker(const WorkerEpochContext& ctx,
       if (!snap_q.Pop(&snapshot)) break;  // comm stage failed
       Stopwatch compute_watch;
       GradMsg msg;
-      status = ComputeBatch(ctx, &model, &rng, snapshot, batch, res, &msg);
+      status =
+          ComputeBatch(config, &model, &rng, snapshot, batch, res, &msg.grads);
       res->compute_seconds += compute_watch.Seconds();
       if (!status.ok()) break;
       ++tick;
       // Cursor deposit must precede handing the comm stage this tick's
       // gradient, so the worker's own barrier arrival always finds it.
       if (ctx.coord != nullptr && ctx.coord->IsCheckpointTick(tick)) {
-        ctx.coord->Deposit(ctx.worker, tick, make_cursor(tick));
+        ctx.coord->Deposit(ctx.worker, tick, MakeCursor(tick, &rng, *res));
       }
       // Mark the epoch's final push: exactly when the batch count is
       // known up front, best-effort (non-blocking peek at the reader
@@ -484,6 +501,170 @@ agl::Status CollectWorkerStatuses(const std::vector<WorkerResult>& results) {
   return agl::Status::OK();
 }
 
+/// Per-worker batch source for one epoch; `done_batches` is how many of
+/// the worker's batches a resumed epoch already completed.
+using ProducerFactory = std::function<std::unique_ptr<BatchProducer>(
+    int worker, int64_t done_batches)>;
+
+/// One epoch of the staged per-worker pipeline (kAsync, kSsp) on `pool`:
+/// every worker runs RunPipelinedWorker over its own producer.
+agl::Status RunPipelinedEpoch(const TrainerConfig& config, int epoch,
+                              ps::PsClient* client, ThreadPool* pool,
+                              int active_workers,
+                              std::vector<WorkerResult>* results,
+                              const internal::MidCheckpointEnv* ckpt,
+                              const ProducerFactory& make_producer) {
+  const bool ssp = config.sync_mode == SyncMode::kSsp;
+  const TrainCheckpoint* resume = ckpt != nullptr ? ckpt->resume : nullptr;
+  const int64_t base_tick = resume != nullptr ? resume->tick : 0;
+  if (ssp) {
+    // A resumed epoch restores every worker's clock and the committed
+    // tick (the checkpoint barrier made them equal) instead of 0.
+    std::vector<int64_t> clocks(active_workers, 0);
+    for (int w = 0; resume != nullptr && w < active_workers; ++w) {
+      clocks[w] = resume->cursors[w].next_batch;
+    }
+    AGL_RETURN_IF_ERROR(client->BeginSspEpochAt(
+        active_workers, config.staleness_bound, std::move(clocks), base_tick));
+  }
+
+  std::optional<CheckpointCoordinator> coord;
+  if (ckpt != nullptr && ckpt->every > 0) {
+    coord.emplace(active_workers, ckpt->every,
+                  [&, epoch](int64_t tick, std::vector<WorkerCursor> cursors) {
+                    return WriteMidCheckpoint(*ckpt, client, epoch, tick,
+                                              std::move(cursors));
+                  });
+  }
+
+  std::vector<std::future<void>> futs;
+  for (int w = 0; w < active_workers; ++w) {
+    futs.push_back(pool->Submit([&, w] {
+      const WorkerCursor* cursor =
+          resume != nullptr ? &resume->cursors[w] : nullptr;
+      const std::unique_ptr<BatchProducer> producer =
+          make_producer(w, cursor != nullptr ? cursor->next_batch : 0);
+      WorkerEpochContext ctx{&config, client, w, epoch, ssp,
+                             coord.has_value() ? &*coord : nullptr,
+                             base_tick, cursor};
+      RunPipelinedWorker(ctx, producer.get(), &(*results)[w]);
+    }));
+  }
+  for (auto& f : futs) f.get();
+  agl::Status end_status;
+  if (ssp) end_status = client->EndSspEpoch();
+  AGL_RETURN_IF_ERROR(CollectWorkerStatuses(*results));
+  return end_status;
+}
+
+/// One kBsp epoch in lock-step rounds: one PullAll per round, every
+/// participating worker computes its batch against that snapshot, and the
+/// round's gradients are averaged here into one PushGradients. This is the
+/// reference schedule kSsp at staleness bound 0 must reproduce bit for bit.
+agl::Status RunBspEpoch(
+    const TrainerConfig& config, std::span<const GraphFeature> train,
+    int epoch, ps::PsClient* client, ThreadPool* pool,
+    const std::vector<std::pair<std::size_t, std::size_t>>& partitions,
+    std::vector<WorkerResult>* results,
+    const internal::MidCheckpointEnv* ckpt) {
+  const int active_workers = static_cast<int>(partitions.size());
+  const std::size_t bs =
+      static_cast<std::size_t>(std::max(1, config.batch_size));
+  const TrainCheckpoint* resume = ckpt != nullptr ? ckpt->resume : nullptr;
+
+  // Lock-step rounds: the number of rounds is set by the largest
+  // partition (worker 0's); workers with fewer batches idle in later
+  // rounds.
+  const auto batches_of = [&](int w) {
+    return (partitions[w].second - partitions[w].first + bs - 1) / bs;
+  };
+  const std::size_t rounds = batches_of(0);
+  const std::size_t min_rounds = batches_of(active_workers - 1);
+
+  // Persistent per-worker replicas avoid per-round construction cost.
+  std::vector<std::unique_ptr<gnn::GnnModel>> models;
+  std::vector<Rng> rngs;
+  for (int w = 0; w < active_workers; ++w) {
+    models.push_back(std::make_unique<gnn::GnnModel>(config.model));
+    rngs.emplace_back(DeriveSeed(config.seed,
+                                 static_cast<uint64_t>(epoch) * 1000 + w));
+  }
+  std::size_t start_round = 0;
+  if (resume != nullptr) {
+    // A BSP round is one tick for every worker.
+    start_round = static_cast<std::size_t>(resume->tick);
+    for (int w = 0; w < active_workers; ++w) {
+      RestoreCursor(resume->cursors[w], &rngs[w], &(*results)[w]);
+    }
+  }
+
+  // A round's pull and push are one PS exchange on behalf of the whole
+  // fleet, so their time is charged once, to worker 0: its partition is
+  // the largest, so it takes part in every round.
+  double& round_comm_seconds = (*results)[0].comm_seconds;
+  for (std::size_t round = start_round; round < rounds; ++round) {
+    // Barrier 1: every participating worker sees the same snapshot.
+    Stopwatch pull_watch;
+    AGL_ASSIGN_OR_RETURN(const Snapshot snapshot, client->PullAll());
+    round_comm_seconds += pull_watch.Seconds();
+    std::vector<std::map<std::string, tensor::Tensor>> grads(active_workers);
+    std::vector<agl::Status> statuses(active_workers);
+    std::vector<std::future<void>> futs;
+    for (int w = 0; w < active_workers; ++w) {
+      if (round >= batches_of(w)) continue;
+      futs.push_back(pool->Submit([&, w] {
+        WorkerResult& res = (*results)[w];
+        const std::size_t s = partitions[w].first + round * bs;
+        const std::size_t e = std::min(partitions[w].second, s + bs);
+        Stopwatch prep_watch;
+        gnn::PreparedBatch batch = PrepareSlice(*models[w], train, s, e);
+        res.prep_seconds += prep_watch.Seconds();
+        Stopwatch compute_watch;
+        statuses[w] = ComputeBatch(config, models[w].get(), &rngs[w],
+                                   snapshot, batch, &res, &grads[w]);
+        res.compute_seconds += compute_watch.Seconds();
+      }));
+    }
+    for (auto& f : futs) f.get();
+    for (const agl::Status& s : statuses) AGL_RETURN_IF_ERROR(s);
+
+    // Barrier 2: average the round's gradients into one update.
+    std::map<std::string, tensor::Tensor> avg;
+    int contributors = 0;
+    for (const std::map<std::string, tensor::Tensor>& worker_grads : grads) {
+      if (worker_grads.empty()) continue;
+      ++contributors;
+      for (const auto& [key, g] : worker_grads) {
+        const auto [it, inserted] = avg.try_emplace(key, g);
+        if (!inserted) it->second.Add(g);
+      }
+    }
+    if (contributors == 0) continue;
+    for (auto& [key, g] : avg) {
+      g.Scale(1.f / static_cast<float>(contributors));
+    }
+    Stopwatch push_watch;
+    AGL_RETURN_IF_ERROR(client->PushGradients(avg));
+    round_comm_seconds += push_watch.Seconds();
+
+    // Between rounds the main thread is the only PS client, so the
+    // checkpoint is trivially consistent. Stop once the smallest
+    // partition is exhausted — past that a round is no longer one tick
+    // for every worker, matching the SSP coordinator's rule.
+    const int64_t tick = static_cast<int64_t>(round) + 1;
+    if (ckpt != nullptr && ckpt->every > 0 && tick % ckpt->every == 0 &&
+        round + 1 <= min_rounds) {
+      std::vector<WorkerCursor> cursors;
+      for (int w = 0; w < active_workers; ++w) {
+        cursors.push_back(MakeCursor(tick, &rngs[w], (*results)[w]));
+      }
+      AGL_RETURN_IF_ERROR(
+          WriteMidCheckpoint(*ckpt, client, epoch, tick, std::move(cursors)));
+    }
+  }
+  return agl::Status::OK();
+}
+
 }  // namespace
 
 agl::Status TrainerConfig::Validate() const {
@@ -520,11 +701,17 @@ agl::Status TrainerConfig::Validate() const {
     return agl::Status::InvalidArgument(
         "TrainerConfig: checkpoint_every_batches must be >= 0");
   }
-  if ((checkpoint_every_batches > 0 || resume) &&
-      checkpoint_dfs == nullptr) {
-    return agl::Status::InvalidArgument(
-        "TrainerConfig: mid-epoch checkpointing/resume needs "
-        "checkpoint_dfs");
+  if (checkpoint_every_batches > 0 || resume) {
+    if (checkpoint_dfs == nullptr) {
+      return agl::Status::InvalidArgument(
+          "TrainerConfig: mid-epoch checkpointing/resume needs "
+          "checkpoint_dfs");
+    }
+    if (sync_mode == SyncMode::kAsync) {
+      return agl::Status::InvalidArgument(
+          "TrainerConfig: mid-epoch checkpoints need a deterministic mode "
+          "(kBsp or kSsp); kAsync has no replayable schedule");
+    }
   }
   return agl::Status::OK();
 }
@@ -542,52 +729,51 @@ agl::Result<std::map<std::string, tensor::Tensor>> LoadCheckpoint(
   return nn::ParseStateDict(records[0]);
 }
 
-agl::Result<TrainReport> GraphTrainer::TrainLoop(
-    const std::function<agl::Status(
-        int epoch, ps::PsClient* client, ThreadPool* pool,
-        std::vector<WorkerResult>* results,
-        const internal::MidCheckpointEnv* ckpt)>& run_epoch,
-    int active_workers, std::span<const GraphFeature> val,
-    std::optional<uint64_t> num_examples) const {
-  if (config_.staleness_bound < 0) {
-    return agl::Status::InvalidArgument("staleness_bound must be >= 0");
+namespace internal {
+
+std::vector<std::pair<std::size_t, std::size_t>> SplitRanges(std::size_t n,
+                                                             int parts) {
+  std::vector<std::pair<std::size_t, std::size_t>> out;
+  parts = std::max(1, parts);
+  const std::size_t chunk = (n + parts - 1) / parts;
+  for (int p = 0; p < parts; ++p) {
+    const std::size_t begin = static_cast<std::size_t>(p) * chunk;
+    if (begin >= n) break;
+    out.emplace_back(begin, std::min(n, begin + chunk));
   }
-  const bool want_mid = config_.checkpoint_every_batches > 0 ||
-                        config_.resume;
-  if (want_mid) {
-    if (!num_examples.has_value()) {
-      return agl::Status::InvalidArgument(
-          "mid-epoch checkpoint/resume is only supported by Train()");
-    }
-    if (config_.checkpoint_dfs == nullptr) {
-      return agl::Status::InvalidArgument(
-          "checkpoint_every_batches/resume need checkpoint_dfs");
-    }
-    if (config_.sync_mode == SyncMode::kAsync) {
-      return agl::Status::InvalidArgument(
-          "mid-epoch checkpoints need a deterministic mode (kBsp or "
-          "kSsp); kAsync has no replayable schedule");
-    }
-  }
+  return out;
+}
+
+ps::ServerOptions PsOptions(const TrainerConfig& config) {
+  ps::ServerOptions opts;
+  opts.num_shards = config.ps_shards;
+  opts.adam = config.adam;
+  return opts;
+}
+
+agl::Result<TrainReport> RunEpochLoop(const GraphTrainer& trainer,
+                                      ps::ParameterServer* server,
+                                      int active_workers,
+                                      std::span<const GraphFeature> val,
+                                      uint64_t num_examples,
+                                      const EpochRunner& run_epoch) {
+  const TrainerConfig& config = trainer.config();
+  AGL_RETURN_IF_ERROR(config.Validate());
+  const bool want_mid = config.checkpoint_every_batches > 0 || config.resume;
   Stopwatch total_watch;
 
   // Global model: provides the initial parameter values (and the layer
   // shapes every worker replica shares). A non-empty initial_state warm-
-  // starts from a checkpoint instead.
-  gnn::GnnModel init_model(config_.model);
-  ps::ServerOptions ps_opts;
-  ps_opts.num_shards = config_.ps_shards;
-  ps_opts.adam = config_.adam;
-  ps::ParameterServer server(ps_opts);
-  // All PS access below goes through the transport-neutral client — the
-  // loopback here; the multi-process driver substitutes a RemotePsClient
-  // in front of the exact same control flow.
-  ps::LocalPsClient client(&server);
-  if (config_.initial_state.empty()) {
+  // starts from a checkpoint instead. All PS access below goes through
+  // the transport-neutral client; remote workers reach the same server
+  // through whatever the epoch runner puts in front of it.
+  gnn::GnnModel init_model(config.model);
+  ps::LocalPsClient client(server);
+  if (config.initial_state.empty()) {
     AGL_RETURN_IF_ERROR(client.Initialize(init_model.StateDict()));
   } else {
-    AGL_RETURN_IF_ERROR(init_model.LoadStateDict(config_.initial_state));
-    AGL_RETURN_IF_ERROR(client.Initialize(config_.initial_state));
+    AGL_RETURN_IF_ERROR(init_model.LoadStateDict(config.initial_state));
+    AGL_RETURN_IF_ERROR(client.Initialize(config.initial_state));
   }
 
   TrainReport report;
@@ -602,23 +788,23 @@ agl::Result<TrainReport> GraphTrainer::TrainLoop(
   std::string mid_name;
   if (want_mid) {
     io::BufferWriter fp;
-    fp.PutVarint64(static_cast<uint64_t>(config_.sync_mode));
-    fp.PutVarint64(static_cast<uint64_t>(config_.task));
+    fp.PutVarint64(static_cast<uint64_t>(config.sync_mode));
+    fp.PutVarint64(static_cast<uint64_t>(config.task));
     fp.PutVarint64(static_cast<uint64_t>(active_workers));
-    fp.PutVarint64(static_cast<uint64_t>(config_.batch_size));
-    fp.PutVarint64(static_cast<uint64_t>(config_.staleness_bound));
-    fp.PutVarint64(config_.seed);
-    fp.PutVarint64(*num_examples);
+    fp.PutVarint64(static_cast<uint64_t>(config.batch_size));
+    fp.PutVarint64(static_cast<uint64_t>(config.staleness_bound));
+    fp.PutVarint64(config.seed);
+    fp.PutVarint64(num_examples);
     fp.PutString(nn::SerializeStateDict(init_model.StateDict()));
     fingerprint = Fnv1aHash(fp.Release());
-    mid_name = MidCheckpointName(config_.checkpoint_prefix);
+    mid_name = MidCheckpointName(config.checkpoint_prefix);
   }
 
   int start_epoch = 0;
   std::optional<TrainCheckpoint> resume_ckpt;
-  if (config_.resume && config_.checkpoint_dfs->DatasetExists(mid_name)) {
+  if (config.resume && config.checkpoint_dfs->DatasetExists(mid_name)) {
     AGL_ASSIGN_OR_RETURN(std::vector<std::string> records,
-                         config_.checkpoint_dfs->ReadDataset(mid_name));
+                         config.checkpoint_dfs->ReadDataset(mid_name));
     if (records.size() != 1) {
       return agl::Status::Corruption(
           "mid-epoch checkpoint must hold exactly 1 record");
@@ -636,26 +822,22 @@ agl::Result<TrainReport> GraphTrainer::TrainLoop(
     bad_evals = static_cast<int>(resume_ckpt->bad_evals);
   }
 
-  ThreadPool pool(static_cast<std::size_t>(active_workers));
-  for (int epoch = start_epoch; epoch < config_.epochs; ++epoch) {
+  MidCheckpointEnv env{config.checkpoint_dfs,
+                       mid_name,
+                       fingerprint,
+                       config.checkpoint_every_batches,
+                       /*resume=*/nullptr,
+                       &report.best_val_metric,
+                       &bad_evals};
+  for (int epoch = start_epoch; epoch < config.epochs; ++epoch) {
     Stopwatch epoch_watch;
     std::vector<WorkerResult> results(active_workers);
-    internal::MidCheckpointEnv env;
-    const internal::MidCheckpointEnv* env_ptr = nullptr;
-    const bool resume_this_epoch =
-        resume_ckpt.has_value() && epoch == start_epoch;
-    if (config_.checkpoint_every_batches > 0 || resume_this_epoch) {
-      env.dfs = config_.checkpoint_dfs;
-      env.dataset = mid_name;
-      env.fingerprint = fingerprint;
-      env.every = config_.checkpoint_every_batches;
-      env.resume = resume_this_epoch ? &*resume_ckpt : nullptr;
-      env.best_val_metric = &report.best_val_metric;
-      env.bad_evals = &bad_evals;
-      env_ptr = &env;
-    }
-    AGL_RETURN_IF_ERROR(run_epoch(epoch, &client, &pool, &results,
-                                  env_ptr));
+    env.resume = resume_ckpt.has_value() && epoch == start_epoch
+                     ? &*resume_ckpt
+                     : nullptr;
+    const bool mid = env.every > 0 || env.resume != nullptr;
+    AGL_RETURN_IF_ERROR(
+        run_epoch(epoch, &client, &results, mid ? &env : nullptr));
 
     EpochRecord rec;
     rec.epoch = epoch;
@@ -672,10 +854,10 @@ agl::Result<TrainReport> GraphTrainer::TrainLoop(
     rec.seconds = epoch_watch.Seconds();
     rec.val_metric = std::numeric_limits<double>::quiet_NaN();
 
-    if (!val.empty() && config_.eval_every > 0 &&
-        (epoch + 1) % config_.eval_every == 0) {
+    if (!val.empty() && config.eval_every > 0 &&
+        (epoch + 1) % config.eval_every == 0) {
       AGL_ASSIGN_OR_RETURN(const Snapshot eval_state, client.PullAll());
-      AGL_ASSIGN_OR_RETURN(rec.val_metric, Evaluate(eval_state, val));
+      AGL_ASSIGN_OR_RETURN(rec.val_metric, trainer.Evaluate(eval_state, val));
       if (rec.val_metric > report.best_val_metric) {
         report.best_val_metric = rec.val_metric;
         bad_evals = 0;
@@ -683,25 +865,25 @@ agl::Result<TrainReport> GraphTrainer::TrainLoop(
         ++bad_evals;
       }
     }
-    if (config_.verbose) {
+    if (config.verbose) {
       AGL_LOG(Info) << "epoch " << epoch << " loss " << rec.mean_train_loss
                     << " val " << rec.val_metric << " (" << rec.seconds
                     << "s)";
     }
     report.epochs.push_back(rec);
-    if (config_.checkpoint_dfs != nullptr) {
+    if (config.checkpoint_dfs != nullptr) {
       AGL_ASSIGN_OR_RETURN(const Snapshot ckpt_state, client.PullAll());
-      AGL_RETURN_IF_ERROR(config_.checkpoint_dfs->WriteDataset(
-          config_.checkpoint_prefix + "-epoch-" + std::to_string(epoch),
+      AGL_RETURN_IF_ERROR(config.checkpoint_dfs->WriteDataset(
+          config.checkpoint_prefix + "-epoch-" + std::to_string(epoch),
           {nn::SerializeStateDict(ckpt_state)}, /*num_parts=*/1));
     }
-    if (config_.patience > 0 && bad_evals >= config_.patience) break;
+    if (config.patience > 0 && bad_evals >= config.patience) break;
   }
 
   // Training completed: the rolling mid-epoch checkpoint would otherwise
   // make a later resume=true run silently redo finished work.
-  if (want_mid && config_.checkpoint_dfs->DatasetExists(mid_name)) {
-    AGL_RETURN_IF_ERROR(config_.checkpoint_dfs->DropDataset(mid_name));
+  if (want_mid && config.checkpoint_dfs->DatasetExists(mid_name)) {
+    AGL_RETURN_IF_ERROR(config.checkpoint_dfs->DropDataset(mid_name));
   }
 
   AGL_ASSIGN_OR_RETURN(report.final_state, client.PullAll());
@@ -709,310 +891,6 @@ agl::Result<TrainReport> GraphTrainer::TrainLoop(
   report.total_seconds = total_watch.Seconds();
   return report;
 }
-
-agl::Result<TrainReport> GraphTrainer::Train(
-    std::span<const GraphFeature> train,
-    std::span<const GraphFeature> val) const {
-  if (train.empty()) {
-    return agl::Status::InvalidArgument("empty training set");
-  }
-  // Static partition of the training data across workers (the paper's
-  // workers each own a partition of GraphFeatures on the DFS).
-  const auto partitions = SplitRanges(train.size(), config_.num_workers);
-  const int active_workers = static_cast<int>(partitions.size());
-
-  return TrainLoop(
-      [&](int epoch, ps::PsClient* client, ThreadPool* pool,
-          std::vector<WorkerResult>* results,
-          const internal::MidCheckpointEnv* ckpt) {
-        if (config_.sync_mode == SyncMode::kBsp) {
-          return RunBspEpoch(train, epoch, client, pool, partitions,
-                             results, ckpt);
-        }
-        return RunPipelinedEpoch(train, epoch, client, pool, partitions,
-                                 results, ckpt);
-      },
-      active_workers, val, static_cast<uint64_t>(train.size()));
-}
-
-agl::Result<TrainReport> GraphTrainer::TrainStreaming(
-    const DfsFeatureSource& source,
-    std::span<const GraphFeature> val) const {
-  if (config_.sync_mode == SyncMode::kBsp) {
-    return agl::Status::InvalidArgument(
-        "kBsp needs random access; use Train()");
-  }
-  if (source.num_parts() == 0) {
-    return agl::Status::InvalidArgument("empty feature source");
-  }
-  // More workers than part files would only idle: parts are the
-  // round-robin granularity of the stream.
-  const int active_workers = static_cast<int>(
-      std::min<int64_t>(std::max(1, config_.num_workers),
-                        source.num_parts()));
-
-  return TrainLoop(
-      [&](int epoch, ps::PsClient* client, ThreadPool* pool,
-          std::vector<WorkerResult>* results,
-          const internal::MidCheckpointEnv* ckpt) {
-        (void)ckpt;  // validation rejects mid-epoch checkpoints up front
-        return RunStreamingEpoch(source, epoch, client, pool,
-                                 active_workers, results);
-      },
-      active_workers, val, std::nullopt);
-}
-
-agl::Status GraphTrainer::RunPipelinedEpoch(
-    std::span<const GraphFeature> train, int epoch,
-    ps::PsClient* client, ThreadPool* pool,
-    const std::vector<std::pair<std::size_t, std::size_t>>& partitions,
-    std::vector<WorkerResult>* results,
-    const internal::MidCheckpointEnv* ckpt) const {
-  const int active_workers = static_cast<int>(partitions.size());
-  const bool ssp = config_.sync_mode == SyncMode::kSsp;
-  const TrainCheckpoint* resume = ckpt != nullptr ? ckpt->resume : nullptr;
-  const int64_t base_tick = resume != nullptr ? resume->tick : 0;
-  if (ssp) {
-    if (resume != nullptr) {
-      // The checkpoint barrier guarantees every worker's clock equalled
-      // the committed tick; restore both instead of starting at 0.
-      std::vector<int64_t> clocks;
-      clocks.reserve(resume->cursors.size());
-      for (const WorkerCursor& c : resume->cursors) {
-        clocks.push_back(c.next_batch);
-      }
-      AGL_RETURN_IF_ERROR(
-          client->BeginSspEpochAt(active_workers, config_.staleness_bound,
-                                  std::move(clocks), resume->tick));
-    } else {
-      AGL_RETURN_IF_ERROR(
-          client->BeginSspEpoch(active_workers, config_.staleness_bound));
-    }
-  }
-
-  std::optional<CheckpointCoordinator> coord;
-  if (ckpt != nullptr && ckpt->every > 0) {
-    coord.emplace(
-        active_workers, ckpt->every,
-        [&, epoch](int64_t tick, std::vector<WorkerCursor> cursors) {
-          TrainCheckpoint c;
-          c.fingerprint = ckpt->fingerprint;
-          c.epoch = epoch;
-          c.tick = tick;
-          c.best_val_metric = *ckpt->best_val_metric;
-          c.bad_evals = *ckpt->bad_evals;
-          c.cursors = std::move(cursors);
-          auto exported = client->ExportState();
-          if (!exported.ok()) return exported.status();
-          c.ps_state = *std::move(exported);
-          return ckpt->dfs->WriteDataset(
-              ckpt->dataset, {SerializeTrainCheckpoint(c)},
-              /*num_parts=*/1);
-        });
-  }
-
-  const std::size_t bs =
-      static_cast<std::size_t>(std::max(1, config_.batch_size));
-  std::vector<std::future<void>> futs;
-  for (int w = 0; w < active_workers; ++w) {
-    futs.push_back(pool->Submit([&, w] {
-      const auto [begin, end] = partitions[w];
-      SpanBatchProducer producer(
-          train, begin, end, bs,
-          static_cast<std::size_t>(
-              resume != nullptr ? resume->cursors[w].next_batch : 0));
-      WorkerEpochContext ctx{&config_,
-                             client,
-                             w,
-                             epoch,
-                             ssp,
-                             coord.has_value() ? &*coord : nullptr,
-                             base_tick,
-                             resume != nullptr ? &resume->cursors[w]
-                                               : nullptr};
-      RunPipelinedWorker(ctx, &producer, &(*results)[w]);
-    }));
-  }
-  for (auto& f : futs) f.get();
-  agl::Status end_status;
-  if (ssp) end_status = client->EndSspEpoch();
-  AGL_RETURN_IF_ERROR(CollectWorkerStatuses(*results));
-  return end_status;
-}
-
-agl::Status GraphTrainer::RunStreamingEpoch(
-    const DfsFeatureSource& source, int epoch, ps::PsClient* client,
-    ThreadPool* pool, int active_workers,
-    std::vector<WorkerResult>* results) const {
-  const bool ssp = config_.sync_mode == SyncMode::kSsp;
-  if (ssp) {
-    AGL_RETURN_IF_ERROR(
-        client->BeginSspEpoch(active_workers, config_.staleness_bound));
-  }
-  StreamingShardReader::Options opts;
-  opts.batch_size = std::max(1, config_.batch_size);
-  opts.prefetch_batches = std::max(1, config_.prefetch_batches);
-  std::vector<std::future<void>> futs;
-  for (int w = 0; w < active_workers; ++w) {
-    futs.push_back(pool->Submit([&, w] {
-      WorkerResult& res = (*results)[w];
-      auto reader =
-          StreamingShardReader::Open(source, w, active_workers, opts);
-      if (!reader.ok()) {
-        res.status = reader.status();
-        if (ssp) {
-          client->CancelSsp();
-          client->FinishSspWorker(w);
-        }
-        return;
-      }
-      StreamBatchProducer producer(std::move(*reader));
-      WorkerEpochContext ctx{&config_, client, w, epoch, ssp};
-      RunPipelinedWorker(ctx, &producer, &res);
-    }));
-  }
-  for (auto& f : futs) f.get();
-  agl::Status end_status;
-  if (ssp) end_status = client->EndSspEpoch();
-  AGL_RETURN_IF_ERROR(CollectWorkerStatuses(*results));
-  return end_status;
-}
-
-agl::Status GraphTrainer::RunBspEpoch(
-    std::span<const GraphFeature> train, int epoch,
-    ps::PsClient* client, ThreadPool* pool,
-    const std::vector<std::pair<std::size_t, std::size_t>>& partitions,
-    std::vector<WorkerResult>* results,
-    const internal::MidCheckpointEnv* ckpt) const {
-  const int active_workers = static_cast<int>(partitions.size());
-  const std::size_t bs =
-      static_cast<std::size_t>(std::max(1, config_.batch_size));
-  const TrainCheckpoint* resume = ckpt != nullptr ? ckpt->resume : nullptr;
-
-  // Lock-step rounds: the number of rounds is set by the largest
-  // partition; workers with fewer batches idle in later rounds.
-  std::vector<std::vector<std::size_t>> starts(active_workers);
-  std::size_t rounds = 0;
-  std::size_t min_rounds = std::numeric_limits<std::size_t>::max();
-  for (int w = 0; w < active_workers; ++w) {
-    const auto [begin, end] = partitions[w];
-    for (std::size_t s = begin; s < end; s += bs) starts[w].push_back(s);
-    rounds = std::max(rounds, starts[w].size());
-    min_rounds = std::min(min_rounds, starts[w].size());
-  }
-
-  // Persistent per-worker replicas avoid per-round construction cost.
-  std::vector<std::unique_ptr<gnn::GnnModel>> models;
-  std::vector<Rng> rngs;
-  for (int w = 0; w < active_workers; ++w) {
-    models.push_back(std::make_unique<gnn::GnnModel>(config_.model));
-    rngs.emplace_back(DeriveSeed(config_.seed,
-                                 static_cast<uint64_t>(epoch) * 1000 + w));
-  }
-  std::size_t start_round = 0;
-  if (resume != nullptr) {
-    // A BSP round is one tick for every worker; restore each worker's
-    // RNG stream and loss accounting alongside the round cursor.
-    start_round = static_cast<std::size_t>(resume->tick);
-    for (int w = 0; w < active_workers; ++w) {
-      const WorkerCursor& c = resume->cursors[w];
-      if (!c.rng_state.empty()) {
-        std::istringstream iss(c.rng_state);
-        iss >> rngs[w].engine();
-      }
-      (*results)[w].loss_sum = c.loss_sum;
-      (*results)[w].batches = c.next_batch;
-    }
-  }
-
-  for (std::size_t round = start_round; round < rounds; ++round) {
-    // Barrier 1: every participating worker sees the same snapshot.
-    AGL_ASSIGN_OR_RETURN(const Snapshot snapshot, client->PullAll());
-    std::vector<std::map<std::string, tensor::Tensor>> grads(active_workers);
-    std::vector<agl::Status> statuses(active_workers);
-    std::vector<std::future<void>> futs;
-    for (int w = 0; w < active_workers; ++w) {
-      if (round >= starts[w].size()) continue;
-      futs.push_back(pool->Submit([&, w] {
-        WorkerResult& res = (*results)[w];
-        const std::size_t s = starts[w][round];
-        const std::size_t e = std::min(partitions[w].second, s + bs);
-        Stopwatch prep_watch;
-        gnn::PreparedBatch batch = PrepareSlice(*models[w], train, s, e);
-        res.prep_seconds += prep_watch.Seconds();
-        Stopwatch compute_watch;
-        statuses[w] = models[w]->LoadStateDict(snapshot);
-        if (!statuses[w].ok()) return;
-        Variable logits = models[w]->Forward(batch, true, &rngs[w]);
-        Variable loss = TaskLoss(config_.task, logits, batch);
-        autograd::Backward(loss);
-        res.loss_sum += loss.value().at(0, 0);
-        res.batches++;
-        for (const nn::NamedParameter& p : models[w]->Parameters()) {
-          if (p.variable.node()->has_grad()) {
-            grads[w].emplace(p.name, p.variable.grad());
-          }
-        }
-        res.compute_seconds += compute_watch.Seconds();
-        // Same "trainer.step" injection site the pipelined runner has.
-        statuses[w] = fail::MaybeFail("trainer.step");
-      }));
-    }
-    for (auto& f : futs) f.get();
-    for (const agl::Status& s : statuses) AGL_RETURN_IF_ERROR(s);
-
-    // Barrier 2: average the round's gradients into one update.
-    std::map<std::string, tensor::Tensor> avg;
-    int contributors = 0;
-    for (int w = 0; w < active_workers; ++w) {
-      if (grads[w].empty()) continue;
-      ++contributors;
-      for (const auto& [key, g] : grads[w]) {
-        auto it = avg.find(key);
-        if (it == avg.end()) {
-          avg.emplace(key, g);
-        } else {
-          it->second.Add(g);
-        }
-      }
-    }
-    if (contributors == 0) continue;
-    for (auto& [key, g] : avg) {
-      g.Scale(1.f / static_cast<float>(contributors));
-    }
-    AGL_RETURN_IF_ERROR(client->PushGradients(avg));
-
-    // Between rounds the main thread is the only PS client, so the
-    // checkpoint is trivially consistent. Stop once the smallest
-    // partition is exhausted — past that a round is no longer one tick
-    // for every worker, matching the SSP coordinator's rule.
-    const int64_t tick = static_cast<int64_t>(round) + 1;
-    if (ckpt != nullptr && ckpt->every > 0 && tick % ckpt->every == 0 &&
-        round + 1 <= min_rounds) {
-      TrainCheckpoint c;
-      c.fingerprint = ckpt->fingerprint;
-      c.epoch = epoch;
-      c.tick = tick;
-      c.best_val_metric = *ckpt->best_val_metric;
-      c.bad_evals = *ckpt->bad_evals;
-      for (int w = 0; w < active_workers; ++w) {
-        WorkerCursor cursor;
-        cursor.next_batch = tick;
-        cursor.loss_sum = (*results)[w].loss_sum;
-        std::ostringstream oss;
-        oss << rngs[w].engine();
-        cursor.rng_state = oss.str();
-        c.cursors.push_back(std::move(cursor));
-      }
-      AGL_ASSIGN_OR_RETURN(c.ps_state, client->ExportState());
-      AGL_RETURN_IF_ERROR(ckpt->dfs->WriteDataset(
-          ckpt->dataset, {SerializeTrainCheckpoint(c)}, /*num_parts=*/1));
-    }
-  }
-  return agl::Status::OK();
-}
-
-namespace internal {
 
 agl::Result<WorkerResult> RunWorkerEpoch(
     const TrainerConfig& config, std::span<const GraphFeature> train,
@@ -1026,13 +904,84 @@ agl::Result<WorkerResult> RunWorkerEpoch(
   SpanBatchProducer producer(
       train, begin, end,
       static_cast<std::size_t>(std::max(1, config.batch_size)),
-      /*start_batch=*/0);
+      /*skip_batches=*/0);
   WorkerEpochContext ctx{&config, client, worker, epoch, ssp};
   RunPipelinedWorker(ctx, &producer, &res);
   return res;
 }
 
 }  // namespace internal
+
+agl::Result<TrainReport> GraphTrainer::Train(
+    std::span<const GraphFeature> train,
+    std::span<const GraphFeature> val) const {
+  if (train.empty()) {
+    return agl::Status::InvalidArgument("empty training set");
+  }
+  // Static partition of the training data across workers (the paper's
+  // workers each own a partition of GraphFeatures on the DFS).
+  const auto partitions =
+      internal::SplitRanges(train.size(), config_.num_workers);
+  const int active_workers = static_cast<int>(partitions.size());
+  const std::size_t bs =
+      static_cast<std::size_t>(std::max(1, config_.batch_size));
+  ps::ParameterServer server(internal::PsOptions(config_));
+  ThreadPool pool(static_cast<std::size_t>(active_workers));
+  return internal::RunEpochLoop(
+      *this, &server, active_workers, val, train.size(),
+      [&](int epoch, ps::PsClient* client, std::vector<WorkerResult>* results,
+          const internal::MidCheckpointEnv* ckpt) {
+        if (config_.sync_mode == SyncMode::kBsp) {
+          return RunBspEpoch(config_, train, epoch, client, &pool,
+                             partitions, results, ckpt);
+        }
+        return RunPipelinedEpoch(
+            config_, epoch, client, &pool, active_workers, results, ckpt,
+            [&](int w, int64_t done_batches) {
+              return std::make_unique<SpanBatchProducer>(
+                  train, partitions[w].first, partitions[w].second, bs,
+                  static_cast<std::size_t>(done_batches));
+            });
+      });
+}
+
+agl::Result<TrainReport> GraphTrainer::TrainStreaming(
+    const DfsFeatureSource& source,
+    std::span<const GraphFeature> val) const {
+  if (config_.sync_mode == SyncMode::kBsp) {
+    return agl::Status::InvalidArgument(
+        "kBsp needs random access; use Train()");
+  }
+  if (config_.checkpoint_every_batches > 0 || config_.resume) {
+    return agl::Status::InvalidArgument(
+        "mid-epoch checkpoint/resume is only supported by Train()");
+  }
+  if (source.num_parts() == 0) {
+    return agl::Status::InvalidArgument("empty feature source");
+  }
+  // More workers than part files would only idle: parts are the
+  // round-robin granularity of the stream.
+  const int active_workers = static_cast<int>(
+      std::min<int64_t>(std::max(1, config_.num_workers),
+                        source.num_parts()));
+  StreamingShardReader::Options opts;
+  opts.batch_size = std::max(1, config_.batch_size);
+  opts.prefetch_batches = std::max(1, config_.prefetch_batches);
+  ps::ParameterServer server(internal::PsOptions(config_));
+  ThreadPool pool(static_cast<std::size_t>(active_workers));
+  return internal::RunEpochLoop(
+      *this, &server, active_workers, val, /*num_examples=*/0,
+      [&](int epoch, ps::PsClient* client, std::vector<WorkerResult>* results,
+          const internal::MidCheckpointEnv* ckpt) {
+        return RunPipelinedEpoch(
+            config_, epoch, client, &pool, active_workers, results, ckpt,
+            [&](int w, int64_t /*done_batches*/) {
+              return std::make_unique<StreamBatchProducer>(
+                  StreamingShardReader::Open(source, w, active_workers,
+                                             opts));
+            });
+      });
+}
 
 agl::Result<double> GraphTrainer::Evaluate(
     const std::map<std::string, tensor::Tensor>& state,

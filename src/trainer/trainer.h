@@ -25,13 +25,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "gnn/model.h"
 #include "mr/local_dfs.h"
 #include "ps/client.h"
@@ -118,7 +116,7 @@ struct TrainerConfig {
   bool resume = false;
 
   /// Structural validation, called up front by every `agl::Run` facade
-  /// entry point (and usable directly).
+  /// entry point and by the epoch loop (and usable directly).
   agl::Status Validate() const;
 };
 
@@ -160,10 +158,10 @@ struct WorkerResult {
   agl::Status status;
 };
 
-/// Mid-epoch checkpoint plumbing handed from TrainLoop to the epoch
+/// Mid-epoch checkpoint plumbing handed from the epoch loop to the epoch
 /// runners. `resume` is non-null only for the epoch being resumed into;
-/// the metric pointers let the checkpoint sink stamp the live TrainLoop
-/// early-stopping state into each checkpoint.
+/// the metric pointers let the checkpoint writer stamp the live early-
+/// stopping state into each checkpoint.
 struct MidCheckpointEnv {
   mr::LocalDfs* dfs = nullptr;
   std::string dataset;  // "<checkpoint_prefix>-mid"
@@ -215,35 +213,39 @@ class GraphTrainer {
   const TrainerConfig& config() const { return config_; }
 
  private:
-  /// `num_examples` identifies the training set for the mid-checkpoint
-  /// fingerprint; nullopt (the streaming path) rejects mid-epoch
-  /// checkpoint/resume configs up front.
-  agl::Result<TrainReport> TrainLoop(
-      const std::function<agl::Status(
-          int epoch, ps::PsClient* client, ThreadPool* pool,
-          std::vector<internal::WorkerResult>* results,
-          const internal::MidCheckpointEnv* ckpt)>& run_epoch,
-      int active_workers, std::span<const subgraph::GraphFeature> val,
-      std::optional<uint64_t> num_examples) const;
-  agl::Status RunPipelinedEpoch(
-      std::span<const subgraph::GraphFeature> train, int epoch,
-      ps::PsClient* client, ThreadPool* pool,
-      const std::vector<std::pair<std::size_t, std::size_t>>& partitions,
-      std::vector<internal::WorkerResult>* results,
-      const internal::MidCheckpointEnv* ckpt) const;
-  agl::Status RunStreamingEpoch(
-      const DfsFeatureSource& source, int epoch,
-      ps::PsClient* client, ThreadPool* pool, int active_workers,
-      std::vector<internal::WorkerResult>* results) const;
-  agl::Status RunBspEpoch(
-      std::span<const subgraph::GraphFeature> train, int epoch,
-      ps::PsClient* client, ThreadPool* pool,
-      const std::vector<std::pair<std::size_t, std::size_t>>& partitions,
-      std::vector<internal::WorkerResult>* results,
-      const internal::MidCheckpointEnv* ckpt) const;
-
   TrainerConfig config_;
 };
+
+namespace internal {
+
+/// Splits [0, n) into `parts` nearly equal contiguous ranges: worker w of
+/// a Train() run owns range w, in threads and in worker processes alike.
+/// Range sizes never grow with w (range 0 is a largest one).
+std::vector<std::pair<std::size_t, std::size_t>> SplitRanges(std::size_t n,
+                                                             int parts);
+
+/// The parameter-server options a trainer config asks for.
+ps::ServerOptions PsOptions(const TrainerConfig& config);
+
+/// Runs one epoch's workers against `client`, filling one WorkerResult per
+/// worker. `ckpt` is non-null when the epoch writes or resumes from
+/// mid-epoch checkpoints.
+using EpochRunner = std::function<agl::Status(
+    int epoch, ps::PsClient* client, std::vector<WorkerResult>* results,
+    const MidCheckpointEnv* ckpt)>;
+
+/// GraphTrainer's epoch loop, run by every deployment: initializes
+/// `server` (fresh weights or `initial_state`), resumes a mid-epoch
+/// checkpoint, then per epoch calls `run_epoch` and does the EpochRecord,
+/// eval/patience and "-epoch-N" checkpoint bookkeeping. Threads and
+/// worker processes differ only in `run_epoch` and in what they host on
+/// `server`. `num_examples` feeds the mid-checkpoint fingerprint.
+agl::Result<TrainReport> RunEpochLoop(
+    const GraphTrainer& trainer, ps::ParameterServer* server,
+    int active_workers, std::span<const subgraph::GraphFeature> val,
+    uint64_t num_examples, const EpochRunner& run_epoch);
+
+}  // namespace internal
 
 /// Reads a checkpoint written during training back into a state dict.
 agl::Result<std::map<std::string, tensor::Tensor>> LoadCheckpoint(

@@ -103,6 +103,17 @@ TEST(BspTrainerTest, ConvergesToSameLevelAsAsync) {
   EXPECT_NEAR(a->best_val_metric, b->best_val_metric, 0.15);
 }
 
+TEST(BspTrainerTest, ReportsPsTime) {
+  // Every lock-step round pulls a snapshot and pushes the averaged
+  // gradient, so each epoch spends measurable time at the PS.
+  Prepared p = MakeCase();
+  auto report = GraphTrainer(BaseConfig(p, 3)).Train(p.splits.train, {});
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  for (const EpochRecord& e : report->epochs) {
+    EXPECT_GT(e.comm_seconds, 0) << "epoch " << e.epoch;
+  }
+}
+
 TEST(BspTrainerTest, UnevenPartitionsHandled) {
   // 5 workers over 128 features -> ragged partitions; later rounds run
   // with fewer contributors and the gradient average must not divide by

@@ -10,8 +10,11 @@
 //   * a worker killed by SIGKILL mid-epoch (an injected crash failpoint
 //     armed only in first attempts becomes a real `raise(SIGKILL)`) is
 //     relaunched and the job's final output is unchanged;
+//   * TrainProcesses runs GraphTrainer's epoch loop: per-epoch validation
+//     metrics, `patience` early stop, `-epoch-N` checkpoints and an
+//     `initial_state` warm start come out the same as the threaded run;
 //   * a worker-reported non-retryable error fails the job without a
-//     relaunch;
+//     relaunch, and a failed job leaves no "<job_prefix>." dataset behind;
 //   * LocalDfs honors its concurrency contract: peer processes publishing
 //     different datasets under concurrent Opens (each of which sweeps
 //     stale scratch) never corrupt one another.
@@ -24,6 +27,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <string>
@@ -107,6 +111,15 @@ class DistributedTest : public ::testing::Test {
     return mr::LocalDfs::Open(root_ + "/out");
   }
 
+  /// Coordination datasets a job left under "<prefix>.".
+  std::vector<std::string> JobLeftovers(const std::string& prefix) {
+    std::vector<std::string> left;
+    for (const std::string& name : coord_->ListDatasets()) {
+      if (name.rfind(prefix + ".", 0) == 0) left.push_back(name);
+    }
+    return left;
+  }
+
   std::string root_;
   std::unique_ptr<mr::LocalDfs> coord_;
 };
@@ -182,6 +195,28 @@ TEST_F(DistributedTest, FlatShardSigkillRecoversBitExact) {
   auto b = out->ReadDataset("flat_chaos");
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_TRUE(*a == *b);
+}
+
+TEST_F(DistributedTest, FlatShardErrorFailsAndDropsJobDatasets) {
+  GeneratedGraph g = MakeGraph(TestGraph(15));
+  auto out = OutDfs();
+  ASSERT_TRUE(out.ok());
+  flat::GraphFlatConfig config;
+  config.hops = 2;
+  config.job.num_workers = 2;
+
+  // One shard, so no peer is left polling the exchange for it: kInternal
+  // is not retryable, the worker reports it and the job fails at once.
+  DriverOptions options = Options("flat_fatal");
+  options.worker_env = {"AGL_FAILPOINTS=mr.map=error(Internal,1)x1"};
+  DriverStats stats;
+  auto result = RunGraphFlatProcesses(options, config, g.nodes, g.edges,
+                                      &*out, "flat_fatal", &stats);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInternal)
+      << result.status().ToString();
+  EXPECT_EQ(stats.restarts, 0);
+  EXPECT_EQ(JobLeftovers("flat_fatal"), std::vector<std::string>{});
 }
 
 // --- Analytics --------------------------------------------------------------
@@ -285,7 +320,12 @@ void ExpectSameTraining(const trainer::TrainReport& a,
   for (std::size_t i = 0; i < a.epochs.size(); ++i) {
     EXPECT_EQ(a.epochs[i].mean_train_loss, b.epochs[i].mean_train_loss)
         << "epoch " << i;
+    const double va = a.epochs[i].val_metric;
+    const double vb = b.epochs[i].val_metric;
+    EXPECT_TRUE(va == vb || (std::isnan(va) && std::isnan(vb)))
+        << "epoch " << i << " val " << va << " vs " << vb;
   }
+  EXPECT_EQ(a.best_val_metric, b.best_val_metric);
   EXPECT_TRUE(nn::SerializeStateDict(a.final_state) ==
               nn::SerializeStateDict(b.final_state))
       << "final state dicts diverged";
@@ -347,6 +387,42 @@ TEST_F(DistributedTest, NonRetryableWorkerErrorFailsWithoutRelaunch) {
   EXPECT_EQ(result.status().code(), StatusCode::kInternal)
       << result.status().ToString();
   EXPECT_EQ(stats.restarts, 0);
+  // The meta, the error reports and the serialized training set go too.
+  EXPECT_EQ(JobLeftovers("t_fatal"), std::vector<std::string>{});
+}
+
+TEST_F(DistributedTest, TrainProcessesMatchInProcessEpochLoopFeatures) {
+  TrainCase c = MakeTrainCase(3, trainer::SyncMode::kBsp, 0);
+  auto warm = trainer::GraphTrainer(c.config).Train(c.train, c.val);
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  auto out = OutDfs();
+  ASSERT_TRUE(out.ok());
+
+  // Warm start from a trained state, stop at the first evaluation that
+  // does not improve, and checkpoint every epoch.
+  c.config.initial_state = warm->final_state;
+  c.config.epochs = 8;
+  c.config.patience = 1;
+  c.config.checkpoint_dfs = &*out;
+  c.config.checkpoint_prefix = "thread";
+  auto in_proc = trainer::GraphTrainer(c.config).Train(c.train, c.val);
+  ASSERT_TRUE(in_proc.ok()) << in_proc.status().ToString();
+  c.config.checkpoint_prefix = "proc";
+  auto proc = TrainProcesses(Options("loop"), c.config, c.train, c.val);
+  ASSERT_TRUE(proc.ok()) << proc.status().ToString();
+
+  ExpectSameTraining(*in_proc, *proc);
+  const std::size_t ran = in_proc->epochs.size();
+  EXPECT_GT(ran, 1u) << "too few epochs to compare checkpoints";
+  EXPECT_LT(ran, static_cast<std::size_t>(c.config.epochs))
+      << "patience never stopped the run";
+  for (std::size_t e = 0; e < ran; ++e) {
+    auto a = out->ReadDataset("thread-epoch-" + std::to_string(e));
+    auto b = out->ReadDataset("proc-epoch-" + std::to_string(e));
+    ASSERT_TRUE(a.ok() && b.ok()) << "epoch " << e;
+    EXPECT_TRUE(*a == *b) << "checkpoint bytes diverged at epoch " << e;
+  }
+  EXPECT_FALSE(out->DatasetExists("proc-epoch-" + std::to_string(ran)));
 }
 
 TEST_F(DistributedTest, TrainProcessesRejectsUnsupportedModes) {
